@@ -6,9 +6,9 @@ Values are carried as ``mpmath.mpf`` at a configurable working precision
 uses ``fractions.Fraction``.
 """
 
-from .bernoulli import (BigRational, bernoulli_number, bernoulli_poly_coeffs,
+from .bernoulli import (bernoulli_number, bernoulli_poly_coeffs,
                         harmonic_number, poly_eval)
-from .config import DEFAULT_CONFIG, EvalConfig, XReal, workprec, xreal
+from .config import DEFAULT_CONFIG, EvalConfig, workprec, xreal
 from .errors import (ArityError, CapabilityError, CapacityError,
                      ConvergenceError, DomainError, PoleError,
                      PrecisionLossWarning, RedirectError, RegsumError,
@@ -16,8 +16,7 @@ from .errors import (ArityError, CapabilityError, CapacityError,
 from .gammafn import digamma, gamma_fn, loggamma
 from .identities import (REGISTRY, IdentityReport, polylog_unimodular,
                          run_suite, verify_identity)
-from .kernels import (cot_via_series, richardson_extrapolate, sum_entire,
-                      sum_oscillatory, tan_via_series)
+from .kernels import richardson_extrapolate, sum_entire, sum_oscillatory
 from .series import (RegularizedValue, SeriesSpec, abel_oracle,
                      closed_form_series, direct_oracle, evaluate_series,
                      integer_cos_series, integer_sin_series,
@@ -31,19 +30,19 @@ from .zeta import (LaurentCoeffs, euler_gamma, eta, hurwitz_zeta_deriv,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArityError", "BigRational", "CapabilityError", "CapacityError",
-    "ConvergenceError", "DEFAULT_CONFIG", "DomainError", "EvalConfig",
-    "IdentityReport", "LaurentCoeffs", "PoleError", "PrecisionLossWarning",
-    "REGISTRY", "RedirectError", "RegsumError", "RegularizedValue",
-    "SeriesSpec", "UnknownIdentityError", "XReal", "abel_oracle",
-    "bernoulli_number", "bernoulli_poly_coeffs", "closed_form_series",
-    "cot_via_series", "digamma", "direct_oracle", "eta", "euler_gamma",
-    "evaluate_series", "gamma_fn", "harmonic_number", "hurwitz_zeta_deriv",
-    "integer_cos_series", "integer_sin_series", "laurent_coefficients",
-    "log_cos_limit_series", "loggamma", "phi_ramanujan", "poly_eval",
-    "polylog_unimodular", "regularized_limit", "richardson_extrapolate",
-    "riemann_zeta", "run_suite", "stieltjes_gamma1", "stieltjes_gamma1_limit",
-    "stieltjes_integral", "sum_entire", "sum_oscillatory", "tan_via_series",
+    "ArityError", "CapabilityError", "CapacityError", "ConvergenceError",
+    "DEFAULT_CONFIG", "DomainError", "EvalConfig", "IdentityReport",
+    "LaurentCoeffs", "PoleError", "PrecisionLossWarning", "REGISTRY",
+    "RedirectError", "RegsumError", "RegularizedValue", "SeriesSpec",
+    "UnknownIdentityError", "abel_oracle", "bernoulli_number",
+    "bernoulli_poly_coeffs", "closed_form_series", "digamma",
+    "direct_oracle", "eta", "euler_gamma", "evaluate_series", "gamma_fn",
+    "harmonic_number", "hurwitz_zeta_deriv", "integer_cos_series",
+    "integer_sin_series", "laurent_coefficients", "log_cos_limit_series",
+    "loggamma", "phi_ramanujan", "poly_eval", "polylog_unimodular",
+    "regularized_limit", "richardson_extrapolate", "riemann_zeta",
+    "run_suite", "stieltjes_gamma1", "stieltjes_gamma1_limit",
+    "stieltjes_integral", "sum_entire", "sum_oscillatory",
     "verify_identity", "workprec", "xreal", "zeta_prime_at_zero",
     "zeta_sderiv_at_negatives",
 ]

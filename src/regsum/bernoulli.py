@@ -16,8 +16,6 @@ from .errors import CapacityError
 # quadratic; nothing in the library needs indices beyond this.
 BERNOULLI_INDEX_CAP = 512
 
-BigRational = Fraction
-
 _table: list[Fraction] = [Fraction(1)]
 
 

@@ -22,7 +22,7 @@ from mpmath import mp, mpf
 from .config import EvalConfig, workprec, xreal
 from .errors import RegsumError
 from .identities import REGISTRY, IdentityReport, run_suite
-from .series import RegularizedValue, SeriesSpec, evaluate_series
+from .series import WEIGHTS, RegularizedValue, SeriesSpec, evaluate_series
 
 PRECISION_ENV = "REGSUM_PRECISION"
 
@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     series.add_argument("--series", choices=("sin", "cos"))
     series.add_argument("--alt", action="store_true",
                         help="alternating (-1)^{n+1} factor")
-    series.add_argument("--weight", choices=("unit", "log"), default="unit")
+    series.add_argument("--weight", choices=WEIGHTS, default="unit")
     series.add_argument("--s", dest="s", default=None, help="exponent s >= 0")
     series.add_argument("--x", dest="x", default=None,
                         help="frequency argument x in (0,1)")

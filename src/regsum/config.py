@@ -1,9 +1,9 @@
 """Evaluation configuration and working-precision helpers.
 
-All real-valued quantities are carried as ``mpmath.mpf`` values ("XReal").
-The reporting precision comes from :class:`EvalConfig`; computations run
-with :data:`GUARD_DIGITS` extra digits so that rounding in long summations
-stays far below the advertised tolerances.
+All real-valued quantities are carried as ``mpmath.mpf`` values. The
+reporting precision comes from :class:`EvalConfig`; computations run with
+:data:`GUARD_DIGITS` extra digits so that rounding in long summations stays
+far below the advertised tolerances.
 """
 
 from __future__ import annotations
@@ -16,35 +16,23 @@ from mpmath import mp, mpf
 # Intermediate computations carry this many digits beyond reporting precision.
 GUARD_DIGITS = 15
 
-XReal = mpf
-
 
 @dataclass(frozen=True)
 class EvalConfig:
     """Process-wide evaluation parameters.
 
-    abs_tol defaults to 10^-(precision_digits - 30), i.e. 1e-20 at the
-    default 50-digit precision, and is kept as a float/str so a config can
-    be built before any precision context exists.
+    The absolute tolerance is 10^-(precision_digits - 30), i.e. 1e-20 at the
+    default 50-digit precision; see :func:`tolerance`.
     """
 
     precision_digits: int = 50
-    abs_tol: float | str | None = None
     max_terms: int = 10**6
-    abel_r_levels: int = 12
-    richardson_order: int = 6
 
     def __post_init__(self):
         if self.precision_digits < 30:
             raise ValueError("precision_digits must be >= 30")
-        if self.abs_tol is not None and float(mpf(self.abs_tol)) <= 0:
-            raise ValueError("abs_tol must be positive")
         if self.max_terms < 100:
             raise ValueError("max_terms must be >= 100")
-        if self.abel_r_levels < 4:
-            raise ValueError("abel_r_levels must be >= 4")
-        if self.richardson_order < 1:
-            raise ValueError("richardson_order must be >= 1")
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -60,9 +48,7 @@ def workprec(cfg: EvalConfig):
 
 
 def tolerance(cfg: EvalConfig) -> mpf:
-    if cfg.abs_tol is None:
-        return mpf(10) ** -(cfg.precision_digits - 30)
-    return mpf(cfg.abs_tol)
+    return mpf(10) ** -(cfg.precision_digits - 30)
 
 
 def xreal(value) -> mpf:

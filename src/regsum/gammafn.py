@@ -1,38 +1,16 @@
-"""Digamma and log-gamma from Stirling-type asymptotics.
+"""Digamma, log-gamma and gamma at a configurable precision.
 
-Both functions shift the argument upward with the recurrences
-psi(x+1) = psi(x) + 1/x and log Gamma(x+1) = log Gamma(x) + log x until the
-asymptotic series (whose coefficients are exact Bernoulli rationals) meets
-the working tolerance.
+Thin checked wrappers over mpmath's ``digamma``, ``loggamma`` and ``gamma``:
+they set the working precision from the config, reject arguments outside
+the real domain, and report the poles at non-positive integers.
 """
 
 from __future__ import annotations
 
-import math
-from functools import lru_cache
-
 from mpmath import mp, mpf
 
-from .bernoulli import bernoulli_number
 from .config import DEFAULT_CONFIG, EvalConfig, workprec, xreal
 from .errors import DomainError, PoleError
-
-
-@lru_cache(maxsize=None)
-def _asym_params(digits: int) -> tuple[int, float]:
-    """(J, X0): series order and shift threshold for ~10^-digits remainders."""
-    target = -(digits + 3) * math.log(10.0)
-    J = max(8, int(0.6 * digits))
-    X = 8.0
-    while True:
-        # First omitted digamma term: B_{2J+2} / ((2J+2) x^{2J+2}); the
-        # log-gamma variant is strictly smaller for x >= 1.
-        j2 = 2 * J + 2
-        logterm = (math.log(2.0) + math.lgamma(j2 + 1) - j2 * math.log(2 * math.pi)
-                   - math.log(j2) - j2 * math.log(X))
-        if logterm <= target:
-            return J, X
-        X *= 1.5
 
 
 def digamma(x, cfg: EvalConfig | None = None) -> mpf:
@@ -44,18 +22,7 @@ def digamma(x, cfg: EvalConfig | None = None) -> mpf:
             if x == int(x):
                 raise PoleError("digamma pole at non-positive integer")
             raise DomainError("digamma requires x > 0")
-        J, X0 = _asym_params(mp.dps)
-        acc = mpf(0)
-        while x < X0:
-            acc -= 1 / x
-            x += 1
-        acc += mp.log(x) - 1 / (2 * x)
-        x2 = 1 / (x * x)
-        pw = x2  # x^{-2j}
-        for j in range(1, J + 1):
-            acc -= xreal(bernoulli_number(2 * j)) / (2 * j) * pw
-            pw *= x2
-        return +acc
+        return +mp.digamma(x)
 
 
 def loggamma(x, cfg: EvalConfig | None = None) -> mpf:
@@ -65,28 +32,14 @@ def loggamma(x, cfg: EvalConfig | None = None) -> mpf:
         x = xreal(x)
         if x <= 0:
             raise DomainError("loggamma requires x > 0")
-        J, X0 = _asym_params(mp.dps)
-        acc = mpf(0)
-        while x < X0:
-            acc -= mp.log(x)
-            x += 1
-        acc += (x - mpf(1) / 2) * mp.log(x) - x + mp.log(2 * mp.pi) / 2
-        x2 = 1 / (x * x)
-        pw = 1 / x  # x^{-(2j-1)}
-        for j in range(1, J + 1):
-            acc += xreal(bernoulli_number(2 * j)) / ((2 * j) * (2 * j - 1)) * pw
-            pw *= x2
-        return +acc
+        return +mp.loggamma(x)
 
 
 def gamma_fn(x, cfg: EvalConfig | None = None) -> mpf:
-    """Gamma(x) for real non-pole x; negative arguments via reflection."""
+    """Gamma(x) for real non-pole x."""
     cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
         x = xreal(x)
-        if x > 0:
-            return +mp.exp(loggamma(x, cfg))
-        if x == int(x):
+        if x <= 0 and x == int(x):
             raise PoleError("gamma pole at non-positive integer")
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return +(mp.pi / (mp.sin(mp.pi * x) * mp.exp(loggamma(1 - x, cfg))))
+        return +mp.gamma(x)

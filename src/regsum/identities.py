@@ -59,7 +59,7 @@ def polylog_unimodular(order: int, x, cfg: EvalConfig | None = None):
     """(Re, Im) of Li_order(e^{2 pi i x}) for integer order >= 2, 0 < x < 1.
 
     The cosine/sine sums converge absolutely; the oscillatory tail is
-    carried below abs_tol by the forward-difference transform.
+    carried below the tolerance by the forward-difference transform.
     """
     if order < 2 or order != int(order):
         raise CapabilityError("polylog_unimodular needs integer order >= 2")
@@ -149,8 +149,9 @@ def _id_alt_cos_limit(x, cfg):
 def _id_alt_sin_limit(x, cfg):
     v = regularized_limit(SeriesSpec("sin", x, 0, alternating=True), cfg)
     rhs = mp.sinpi(x) / mp.cospi(x) / 2
-    notes = ("lhs: tangent Bernoulli series route; rhs: tan(pi x)/2 by "
-             "direct transcendental evaluation")
+    notes = ("lhs: half-period shift to the plain sine limit at 1/2 - x "
+             "(zeta(-odd) series); rhs: tan(pi x)/2 by direct "
+             "transcendental evaluation")
     return [("", v.value, rhs)], notes
 
 
@@ -292,8 +293,8 @@ def _id_kummer_log_sin(t, cfg):
     rhs = (mp.pi / 2 * (loggamma(t, cfg) - loggamma(1 - t, cfg))
            + c * mp.pi * (t - mpf(1) / 2))
     notes = ("lhs: log-weighted sine series closed form via zeta'(-even) "
-             "values; rhs: log-gamma reflection difference from the "
-             "Stirling route")
+             "values; rhs: log-gamma reflection difference from mpmath's "
+             "loggamma")
     return [("", lhs, rhs)], notes
 
 

@@ -1,10 +1,8 @@
-"""Elementary power-series kernels and generic summation utilities.
+"""Generic summation utilities.
 
-Contains the cotangent/tangent Bernoulli series, a stopping-rule driven
-summer for rapidly decaying tails, polynomial Richardson extrapolation,
-and a series transform for slowly convergent oscillatory sums
-sum_n g(n) z^n with |z| <= 1, z != 1.
-"""
+A stopping-rule driven summer for rapidly decaying tails, polynomial
+Richardson extrapolation, and a series transform for slowly convergent
+oscillatory sums sum_n g(n) z^n with |z| <= 1, z != 1."""
 
 from __future__ import annotations
 
@@ -12,76 +10,14 @@ from typing import Callable, Sequence
 
 from mpmath import mp, mpf
 
-from .bernoulli import bernoulli_number
 from .config import DEFAULT_CONFIG, EvalConfig, tolerance, workprec, xreal
 from .errors import ArityError, ConvergenceError, DomainError
-
-
-def cot_via_series(x, cfg: EvalConfig | None = None) -> mpf:
-    """cot x from its Bernoulli power series, 0 < |x| < 0.9*pi.
-
-    cot x = 1/x + sum_{n>=1} (-1)^n 2^{2n} B_{2n} x^{2n-1} / (2n)!
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    with workprec(cfg):
-        x = xreal(x)
-        if x == 0 or abs(x) >= mpf("0.9") * mp.pi:
-            raise DomainError("cot series requires 0 < |x| < 0.9*pi")
-        stop = tolerance(cfg) / 100
-        acc = 1 / x
-        x2 = x * x
-        pw = x  # x^{2n-1}
-        fact = mpf(1)  # (2n)!
-        four = mpf(1)  # 2^{2n}
-        small = 0
-        n = 0
-        while small < 3:
-            n += 1
-            fact *= (2 * n - 1) * (2 * n)
-            four *= 4
-            term = (-1) ** n * four * xreal(bernoulli_number(2 * n)) / fact * pw
-            acc += term
-            pw *= x2
-            small = small + 1 if abs(term) < stop else 0
-        return +acc
-
-
-def tan_via_series(x, cfg: EvalConfig | None = None) -> mpf:
-    """tan x from tan x = cot x - 2 cot 2x expanded termwise, |x| < 0.45*pi.
-
-    tan x = sum_{m>=1} (-1)^{m+1} (2^{2m}-1) 2^{2m} B_{2m} x^{2m-1} / (2m)!
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    with workprec(cfg):
-        x = xreal(x)
-        if abs(x) >= mpf("0.45") * mp.pi:
-            raise DomainError("tan series requires |x| < 0.45*pi")
-        if x == 0:
-            return mpf(0)
-        stop = tolerance(cfg) / 100
-        acc = mpf(0)
-        x2 = x * x
-        pw = x
-        fact = mpf(1)
-        four = mpf(1)
-        small = 0
-        m = 0
-        while small < 3:
-            m += 1
-            fact *= (2 * m - 1) * (2 * m)
-            four *= 4
-            term = ((-1) ** (m + 1) * (four - 1) * four
-                    * xreal(bernoulli_number(2 * m)) / fact * pw)
-            acc += term
-            pw *= x2
-            small = small + 1 if abs(term) < stop else 0
-        return +acc
 
 
 def sum_entire(term: Callable[[int], mpf], cfg: EvalConfig | None = None):
     """Sum term(0) + term(1) + ... for rapidly decaying tails.
 
-    Stops once three consecutive terms fall below abs_tol/100 in magnitude
+    Stops once three consecutive terms fall below tolerance/100 in magnitude
     (parity-masked zero terms from sin/cos must not halt summation early).
     Returns (compensated sum, terms_used).
     """

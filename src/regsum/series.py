@@ -1,18 +1,20 @@
 """Regularized trigonometric series: sums over n of w(n) trig(2 n pi x)/n^s,
 optionally with the alternating factor (-1)^{n+1}.
 
-Closed forms evaluate the analytic continuation in the exponent s; the
-s -> 0 limits return the regularized values of the divergent cases; exact
-integer exponents go through Bernoulli-Fourier / Hurwitz-derivative
-branches. Two independent oracles (Abel summation with Richardson
-extrapolation, and Cesaro-averaged direct partial sums) provide ground
-truth for every regime.
+The alternating factor is a phase, (-1)^{n+1} trig(2 n pi x) =
+-trig(2 n pi (x + 1/2)), so an alternating series is the plain one shifted
+by half a period and every route below evaluates a plain series. Closed
+forms evaluate the analytic continuation in the exponent s; the s -> 0
+limits return the regularized values of the divergent cases; exact integer
+exponents go through Bernoulli-Fourier / Hurwitz-derivative branches. Two
+independent oracles (Abel summation with Richardson extrapolation, and
+Cesaro-averaged direct partial sums) provide ground truth for every regime.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from mpmath import mp, mpf
 
@@ -20,13 +22,18 @@ from .bernoulli import bernoulli_poly_coeffs, poly_eval
 from .config import DEFAULT_CONFIG, EvalConfig, tolerance, workprec, xreal
 from .errors import (CapabilityError, ConvergenceError, DomainError,
                      PoleError, PrecisionLossWarning, RedirectError)
-from .gammafn import digamma, loggamma
-from .kernels import richardson_extrapolate, sum_entire, sum_oscillatory, tan_via_series
-from .zeta import (euler_gamma, log_two_pi, riemann_zeta, eta,
-                   hurwitz_zeta_deriv, zeta_sderiv_at_negatives)
+from .gammafn import digamma, gamma_fn
+from .kernels import richardson_extrapolate, sum_entire, sum_oscillatory
+from .zeta import (euler_gamma, log_two_pi, riemann_zeta, hurwitz_zeta_deriv,
+                   zeta_sderiv_at_negatives)
 
 KERNELS = ("sin", "cos")
 WEIGHTS = ("unit", "log", "log2")  # log2 means (log n)^2
+
+# Abel oracle: r = 1 - 2^-k for k = 4 .. 4 + ABEL_R_LEVELS, extrapolated to
+# r -> 1 by a degree-RICHARDSON_ORDER polynomial in h = 1 - r.
+ABEL_R_LEVELS = 12
+RICHARDSON_ORDER = 6
 
 
 @dataclass(frozen=True)
@@ -85,8 +92,37 @@ def _mirror(kernel: str, x: mpf):
     return x, mpf(1)
 
 
+def _half_shift(kernel: str, x: mpf):
+    """(x', sign) with the alternating series at x equal to sign times the
+    plain series at x', for x != 1/2.
+
+    The plain series is negated at x + 1/2, which reduces to x - 1/2 by
+    periodicity or, for x < 1/2, reflects to 1/2 - x with the kernel's
+    mirror sign; 1/2 - x is formed directly so a small x loses no digits.
+    """
+    half = mpf(1) / 2
+    if x > half:
+        return x - half, mpf(-1)
+    return half - x, (mpf(1) if kernel == "sin" else mpf(-1))
+
+
+def _half_point_value(kernel: str, weight: str, s: mpf, cfg: EvalConfig) -> mpf:
+    """The alternating series at x = 1/2, where the shift would land on 0.
+
+    Every sine term vanishes; the cosine terms are -w(n)/n^s, continued to
+    -zeta(s) for unit weight and zeta'(s) for log weight.
+    """
+    if kernel == "sin":
+        return mpf(0)
+    if s == 1:
+        raise PoleError("alternating cos series at x = 1/2 diverges at s = 1")
+    if weight == "unit":
+        return -riemann_zeta(s, cfg)
+    return hurwitz_zeta_deriv(1, s, 1, cfg)
+
+
 # --------------------------------------------------------------------------
-# Closed forms for generic s > 0 (unit weight)
+# Closed forms of the plain series
 # --------------------------------------------------------------------------
 
 def _plain_tail(kernel: str, x: mpf, s: mpf, cfg: EvalConfig):
@@ -105,122 +141,121 @@ def _plain_tail(kernel: str, x: mpf, s: mpf, cfg: EvalConfig):
     return sum_entire(term, cfg)
 
 
-def _alt_tail(kernel: str, x: mpf, s: mpf, cfg: EvalConfig):
-    """Alternating variants with eta in place of zeta; no prefactor.
-
-    The printed tails converge only for x < 1/2 (ratio (2x)^2); callers
-    reduce x >= 1/2 by the half-period shift first.
-    """
-    w = 2 * mp.pi * x
-    if kernel == "sin":
-        def term(n):
-            return ((-1) ** n * eta(s - 2 * n - 1, cfg)
-                    * mp.power(w, 2 * n + 1) / mp.factorial(2 * n + 1))
-    else:
-        def term(n):
-            return ((-1) ** n * eta(s - 2 * n, cfg)
-                    * mp.power(w, 2 * n) / mp.factorial(2 * n))
-    return sum_entire(term, cfg)
-
-
-def _sin_prefactor(x: mpf, s: mpf, cfg: EvalConfig) -> mpf:
-    w = 2 * mp.pi * x
-    return (mp.pi * mp.power(w, s - 1)
-            / (2 * mp.exp(loggamma(s, cfg)) * mp.sin(mp.pi * s / 2)))
-
-
-def _cos_prefactor(x: mpf, s: mpf, cfg: EvalConfig) -> mpf:
-    w = 2 * mp.pi * x
-    return (mp.pi * mp.power(w, s - 1)
-            / (2 * mp.exp(loggamma(s, cfg)) * mp.cos(mp.pi * s / 2)))
+def _prefactor(kernel: str, x: mpf, s: mpf, cfg: EvalConfig) -> mpf:
+    """pi w^{s-1} / (2 Gamma(s) trig(pi s/2)), w = 2 pi x."""
+    trig = mp.sin if kernel == "sin" else mp.cos
+    return (mp.pi * mp.power(2 * mp.pi * x, s - 1)
+            / (2 * gamma_fn(s, cfg) * trig(mp.pi * s / 2)))
 
 
 def _parity_distance(kernel: str, s: mpf):
-    """Distance from s to the nearest prefactor-singular integer."""
-    n = mp.floor(s)
-    cands = []
-    for m in (n - 1, n, n + 1, n + 2):
-        mi = int(m)
-        if mi >= 0 and ((kernel == "sin" and mi % 2 == 0)
-                        or (kernel == "cos" and mi % 2 == 1)):
-            cands.append(abs(s - mi))
-    return min(cands) if cands else mpf(1)
+    """Distance from s > 0 to the nearest integer where the prefactor is
+    singular: even s for sin, odd s for cos."""
+    p = 0 if kernel == "sin" else 1
+    return abs(s - (2 * mp.nint((s - p) / 2) + p))
+
+
+def _integer_branch(kernel: str, s: mpf):
+    """The exact-integer route where the prefactor is singular (sin at even
+    s, cos at odd s), else None."""
+    if _parity_distance(kernel, s) != 0:
+        return None
+    return integer_sin_series if kernel == "sin" else integer_cos_series
+
+
+def _plain_limit(kernel: str, weight: str, x: mpf, cfg: EvalConfig) -> RegularizedValue:
+    """s -> 0 limits of the plain series for unit and log weights."""
+    tol = tolerance(cfg)
+    if kernel == "cos" and weight == "unit":
+        # zeta(-2n) = 0 for n >= 1; only zeta(0) = -1/2 survives.
+        return RegularizedValue(mpf(-1) / 2, "closed_form", +tol, 1)
+    if kernel == "cos":
+        g = euler_gamma(cfg)
+        v = (digamma(x, cfg) + mp.pi / 2 * mp.cospi(x) / mp.sinpi(x)
+             + g + log_two_pi()) / 2
+        series = log_cos_limit_series(x, cfg)
+        return RegularizedValue(+v, "closed_form",
+                                +max(tol, abs(v - series)), 0)
+    x, sign = _mirror(kernel, x)
+    w = 2 * mp.pi * x
+    if weight == "unit":
+        # cot(pi x)/2 through the zeta(-odd) power series
+        head = 1 / w
+
+        def term(n):
+            return ((-1) ** n * riemann_zeta(-2 * n - 1, cfg)
+                    * mp.power(w, 2 * n + 1) / mp.factorial(2 * n + 1))
+    else:
+        head = -(euler_gamma(cfg) + mp.log(w)) / w
+
+        def term(n):
+            return ((-1) ** (n + 1) * zeta_sderiv_at_negatives(2 * n + 1, cfg)
+                    * mp.power(w, 2 * n + 1) / mp.factorial(2 * n + 1))
+    tail, n = sum_entire(term, cfg)
+    return RegularizedValue(+(sign * (head + tail)), "closed_form", +tol, n)
+
+
+def _plain_value(kernel: str, weight: str, x: mpf, s: mpf,
+                 cfg: EvalConfig) -> RegularizedValue:
+    """The plain series' one closed-form family: the s -> 0 limit, the
+    integer branch where the prefactor is singular, else prefactor plus
+    zeta tail at the mirrored x."""
+    if s == 0:
+        return _plain_limit(kernel, weight, x, cfg)
+    branch = _integer_branch(kernel, s)
+    if branch is not None:
+        return branch(x, int(s), cfg)
+    err = tolerance(cfg)
+    dist = _parity_distance(kernel, s)
+    if dist < mpf("1e-3"):
+        warnings.warn(
+            f"s within {mp.nstr(dist, 3)} of a singular parity; "
+            f"~{int(-mp.log10(dist))} digits lost to prefactor cancellation",
+            PrecisionLossWarning)
+        err = err / dist
+    x, sign = _mirror(kernel, x)
+    tail, n = _plain_tail(kernel, x, s, cfg)
+    value = sign * (_prefactor(kernel, x, s, cfg) + tail)
+    return RegularizedValue(+value, "closed_form", +err, n)
+
+
+def _closed_form(spec: SeriesSpec, cfg: EvalConfig) -> RegularizedValue:
+    """Any spec the closed forms cover, alternating ones through the
+    half-period shift. Runs inside the caller's working precision."""
+    x = xreal(spec.x)
+    s = xreal(spec.s)
+    if not spec.alternating:
+        return _plain_value(spec.kernel, spec.weight, x, s, cfg)
+    if x == mpf(1) / 2:
+        v = _half_point_value(spec.kernel, spec.weight, s, cfg)
+        return RegularizedValue(+v, "closed_form", +tolerance(cfg), 0)
+    xs, sign = _half_shift(spec.kernel, x)
+    rv = _plain_value(spec.kernel, spec.weight, xs, s, cfg)
+    return replace(rv, value=+(sign * rv.value))
 
 
 def closed_form_series(spec: SeriesSpec, cfg: EvalConfig | None = None) -> RegularizedValue:
     """Analytic-continuation closed form for unit weight, s > 0.
 
-    Prefactor (absent for the alternating forms) plus a zeta/eta tail.
-    Parity-singular exponents (sin at even s, cos at odd s) redirect to the
-    integer branches; s = 0 redirects to regularized_limit.
+    Prefactor plus a zeta tail; an alternating series is the plain one
+    shifted by half a period. Parity-singular exponents (sin at even s, cos
+    at odd s) redirect to the integer branches, which alternating series
+    reach through the shift; s = 0 redirects to regularized_limit.
     """
     cfg = cfg or DEFAULT_CONFIG
     if spec.weight != "unit":
         raise CapabilityError("closed_form_series handles unit weight only")
     with workprec(cfg):
-        x = xreal(spec.x)
         s = xreal(spec.s)
         if s <= 0:
             raise RedirectError("s = 0 is the regularized limit",
                                 branch="regularized_limit")
-        err = tolerance(cfg)
-        if spec.alternating:
-            value, n = _alt_value(spec.kernel, x, s, cfg)
-            return RegularizedValue(+value, "closed_form", +err, n)
-        if _is_int(s):
-            si = int(s)
-            if spec.kernel == "sin" and si % 2 == 0:
-                raise RedirectError(
-                    "sin prefactor singular at even integer s; "
-                    "use integer_sin_series", branch="integer_sin_series")
-            if spec.kernel == "cos" and si % 2 == 1:
-                raise RedirectError(
-                    "cos prefactor singular at odd integer s; "
-                    "use integer_cos_series", branch="integer_cos_series")
-        dist = _parity_distance(spec.kernel, s)
-        if 0 < dist < mpf("1e-3"):
-            warnings.warn(
-                f"s within {mp.nstr(dist, 3)} of a singular parity; "
-                f"~{int(-mp.log10(dist))} digits lost to prefactor cancellation",
-                PrecisionLossWarning)
-            err = err / dist
-        x, sign = _mirror(spec.kernel, x)
-        pref = (_sin_prefactor if spec.kernel == "sin" else _cos_prefactor)(x, s, cfg)
-        tail, n = _plain_tail(spec.kernel, x, s, cfg)
-        return RegularizedValue(+(sign * (pref + tail)), "closed_form", +err, n)
-
-
-def _plain_value(kernel: str, x: mpf, s: mpf, cfg: EvalConfig):
-    """Non-alternating series at any s > 0, integer parities included."""
-    if _is_int(s):
-        si = int(s)
-        if kernel == "sin" and si % 2 == 0:
-            rv = integer_sin_series(x, si, cfg)
-            return rv.value, rv.terms_used
-        if kernel == "cos" and si % 2 == 1:
-            rv = integer_cos_series(x, si, cfg)
-            return rv.value, rv.terms_used
-    x, sign = _mirror(kernel, x)
-    pref = (_sin_prefactor if kernel == "sin" else _cos_prefactor)(x, s, cfg)
-    tail, n = _plain_tail(kernel, x, s, cfg)
-    return sign * (pref + tail), n
-
-
-def _alt_value(kernel: str, x: mpf, s: mpf, cfg: EvalConfig):
-    """Alternating series at any s > 0 and any x in (0,1)."""
-    half = mpf(1) / 2
-    if x < half:
-        return _alt_tail(kernel, x, s, cfg)
-    if x == half:
-        # sin(2 pi n / 2) = 0; cos gives (-1)^n, so the series is -zeta(s).
-        if kernel == "sin":
-            return mpf(0), 0
-        if s == 1:
-            raise PoleError("alternating cos series at x = 1/2 diverges at s = 1")
-        return -riemann_zeta(s, cfg), 0
-    # (-1)^n trig(2 n pi x) = trig(2 n pi (x - 1/2)): half-period shift
-    v, n = _plain_value(kernel, x - half, s, cfg)
-    return -v, n
+        branch = None if spec.alternating else _integer_branch(spec.kernel, s)
+        if branch is not None:
+            raise RedirectError(
+                f"{spec.kernel} prefactor singular at s = {int(s)}; "
+                f"use {branch.__name__}", branch=branch.__name__)
+        return _closed_form(spec, cfg)
 
 
 # --------------------------------------------------------------------------
@@ -254,61 +289,23 @@ def log_cos_limit_series(x, cfg: EvalConfig | None = None) -> mpf:
 
 
 def regularized_limit(spec: SeriesSpec, cfg: EvalConfig | None = None) -> RegularizedValue:
-    """Analytic-continuation value at s = 0 for the supported kernel/weight
-    combinations; the divergent literal series never appears.
+    """Analytic-continuation value at s = 0 for unit and log weights; the
+    divergent literal series never appears.
 
     sin/unit -> cot(pi x)/2 through the zeta(-odd) power series;
-    cos/unit -> -1/2; alt-cos/unit -> 1/2; alt-sin/unit -> tan(pi x)/2
-    through the tangent Bernoulli series (x below 0.45);
-    sin/log and cos/log -> the zeta'/digamma closed forms.
+    cos/unit -> -1/2; sin/log and cos/log -> the zeta'/digamma closed
+    forms. An alternating series is the plain one shifted by half a period
+    (alt-sin/unit -> tan(pi x)/2, alt-cos/unit -> 1/2).
     """
     cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
-        x = xreal(spec.x)
-        s = xreal(spec.s)
-        if s != 0:
+        if xreal(spec.s) != 0:
             raise DomainError("regularized_limit requires s = 0")
-        tol = tolerance(cfg)
-        key = (spec.kernel, spec.alternating, spec.weight)
-        xr, sign = _mirror(spec.kernel, x)
-        w = 2 * mp.pi * xr
-        if key == ("sin", False, "unit"):
-            def term(n):
-                return ((-1) ** n * riemann_zeta(-2 * n - 1, cfg)
-                        * mp.power(w, 2 * n + 1) / mp.factorial(2 * n + 1))
-            tail, n = sum_entire(term, cfg)
-            return RegularizedValue(+(sign * (1 / w + tail)),
-                                    "closed_form", +tol, n)
-        if key == ("cos", False, "unit"):
-            # zeta(-2n) = 0 for n >= 1; only zeta(0) = -1/2 survives.
-            return RegularizedValue(mpf(-1) / 2, "closed_form", +tol, 1)
-        if key == ("cos", True, "unit"):
-            return RegularizedValue(+eta(0, cfg), "closed_form", +tol, 1)
-        if key == ("sin", True, "unit"):
-            if x >= mpf("0.45"):
-                raise DomainError(
-                    "alt-sin limit implemented for x < 0.45 where the "
-                    "tangent series converges")
-            v = tan_via_series(mp.pi * x, cfg) / 2
-            return RegularizedValue(+v, "closed_form", +tol, 0)
-        if key == ("sin", False, "log"):
-            def term(n):
-                return ((-1) ** (n + 1) * zeta_sderiv_at_negatives(2 * n + 1, cfg)
-                        * mp.power(w, 2 * n + 1) / mp.factorial(2 * n + 1))
-            tail, n = sum_entire(term, cfg)
-            g = euler_gamma(cfg)
-            return RegularizedValue(+(sign * (-(g + mp.log(w)) / w + tail)),
-                                    "closed_form", +tol, n)
-        if key == ("cos", False, "log"):
-            g = euler_gamma(cfg)
-            v = (digamma(x, cfg) + mp.pi / 2 * mp.cospi(x) / mp.sinpi(x)
-                 + g + log_two_pi()) / 2
-            series = log_cos_limit_series(x, cfg)
-            return RegularizedValue(+v, "closed_form",
-                                    +max(tol, abs(v - series)), 0)
-        raise CapabilityError(
-            f"no regularized limit for kernel={spec.kernel}, "
-            f"alternating={spec.alternating}, weight={spec.weight}")
+        if spec.weight == "log2":
+            raise CapabilityError(
+                f"no regularized limit for kernel={spec.kernel}, "
+                f"alternating={spec.alternating}, weight=log2")
+        return _closed_form(spec, cfg)
 
 
 # --------------------------------------------------------------------------
@@ -400,11 +397,11 @@ def integer_cos_series(x, s: int, cfg: EvalConfig | None = None) -> RegularizedV
 
 def abel_oracle(spec: SeriesSpec, cfg: EvalConfig | None = None) -> RegularizedValue:
     """Abel summation oracle: sum r^n (term), r = 1 - 2^-k for
-    k = 4 .. 4 + abel_r_levels, extrapolated to r -> 1 in h = 1 - r.
+    k = 4 .. 4 + ABEL_R_LEVELS, extrapolated to r -> 1 in h = 1 - r.
 
     Independent of every closed form: each Abel sum is an absolutely
     convergent series evaluated by head summation plus the
-    forward-difference transform of its tail (to below abs_tol/10), and the
+    forward-difference transform of its tail (to below tolerance/10), and the
     limit is taken by Richardson extrapolation.
     """
     cfg = cfg or DEFAULT_CONFIG
@@ -433,7 +430,7 @@ def abel_oracle(spec: SeriesSpec, cfg: EvalConfig | None = None) -> RegularizedV
         tol = tolerance(cfg) / 10
         samples = []
         total = 0
-        for i in range(cfg.abel_r_levels + 1):
+        for i in range(ABEL_R_LEVELS + 1):
             k = 4 + i
             h = mpf(2) ** (-k)
             z = (1 - h) * z0
@@ -446,7 +443,7 @@ def abel_oracle(spec: SeriesSpec, cfg: EvalConfig | None = None) -> RegularizedV
             if spec.alternating:
                 comp = -comp
             samples.append((h, comp))
-        value, est = richardson_extrapolate(samples, cfg.richardson_order)
+        value, est = richardson_extrapolate(samples, RICHARDSON_ORDER)
         if not est <= mpf("1e-3") * (1 + abs(value)):
             raise ConvergenceError(
                 "Abel extrapolation did not converge toward r = 1")
@@ -515,10 +512,7 @@ def evaluate_series(spec: SeriesSpec, cfg: EvalConfig | None = None) -> Regulari
             # no closed forms with log weights at s > 0; Abel summation is
             # still well-defined there
             return abel_oracle(spec, cfg)
-        if not spec.alternating and _is_int(s):
-            si = int(s)
-            if spec.kernel == "sin":
-                return integer_sin_series(spec.x, si, cfg)
-            if si % 2 == 1:
-                return integer_cos_series(spec.x, si, cfg)
+        branch = None if spec.alternating else _integer_branch(spec.kernel, s)
+        if branch is not None:
+            return branch(spec.x, int(s), cfg)
         return closed_form_series(spec, cfg)

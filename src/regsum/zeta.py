@@ -30,7 +30,6 @@ from mpmath import mp, mpf
 from .bernoulli import bernoulli_number, harmonic_number
 from .config import DEFAULT_CONFIG, EvalConfig, workprec, xreal
 from .errors import ConvergenceError, DomainError, PoleError
-from .gammafn import loggamma
 
 _LN10 = math.log(10.0)
 
@@ -328,7 +327,7 @@ def _rz(s: mpf) -> mpf:
     elif s < 0:
         # functional equation: zeta(s) = 2^s pi^{s-1} sin(pi s/2) Gamma(1-s) zeta(1-s)
         v = (mp.power(2, s) * mp.power(mp.pi, s - 1) * mp.sin(mp.pi * s / 2)
-             * mp.exp(loggamma(1 - s)) * _rz(1 - s))
+             * mp.gamma(1 - s) * _rz(1 - s))
     else:
         v = _em_zeta_derivs(s, mpf(1), 0)[0]
     v = +v

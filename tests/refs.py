@@ -2,8 +2,10 @@
 
 Everything here stays independent of the library code paths it is used to
 check: the Bernoulli oracle is a different algorithm (Akiyama-Tanigawa),
-quadrature is a self-contained Romberg tableau, and the constants are
-well-known published decimal expansions.
+quadrature is a self-contained Romberg tableau, the series references are
+mpmath's Hurwitz zeta and the printed eta-tail form (which the library's
+closed forms no longer use), and the constants are well-known published
+decimal expansions.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import random
 from fractions import Fraction
 
 from mpmath import mp, mpf
+
+from regsum import eta
 
 # Published decimal expansions (90 digits).  Kept as strings: mpf parsing
 # happens at the caller's working precision, never at import time.
@@ -88,3 +92,38 @@ def central_diff(f, x, h):
 def seeded_uniforms(seed: int, n: int, lo: float, hi: float) -> list[mpf]:
     rng = random.Random(seed)
     return [mpf(lo) + (mpf(hi) - mpf(lo)) * mpf(rng.random()) for _ in range(n)]
+
+
+def eta_tail(kernel: str, x, s, cfg) -> mpf:
+    """The printed alternating closed form for 0 < x < 1/2 (no prefactor):
+
+        sin: sum_n (-1)^n eta(s-2n-1) w^{2n+1}/(2n+1)!
+        cos: sum_n (-1)^n eta(s-2n)   w^{2n}/(2n)!,      w = 2 pi x.
+
+    Terms decay like (2x)^{2n}; summation stops after three consecutive
+    terms below 10^-(dps-5).
+    """
+    w = 2 * mp.pi * x
+    odd = 1 if kernel == "sin" else 0
+    stop = mpf(10) ** -(mp.dps - 5)
+    acc, small, n = mpf(0), 0, 0
+    while small < 3:
+        k = 2 * n + odd
+        term = (-1) ** n * eta(s - k, cfg) * mp.power(w, k) / mp.factorial(k)
+        acc += term
+        small = small + 1 if abs(term) < stop else 0
+        n += 1
+    return acc
+
+
+def hurwitz_series(kernel: str, x, s) -> mpf:
+    """sum_n trig(2 n pi x)/n^s for non-integer s > 0 from mpmath's Hurwitz
+    zeta, at the current precision:
+
+        sin: (2 pi)^s / (4 Gamma(s) sin(pi s/2)) [zeta(1-s, x) - zeta(1-s, 1-x)]
+        cos: (2 pi)^s / (4 Gamma(s) cos(pi s/2)) [zeta(1-s, x) + zeta(1-s, 1-x)]
+    """
+    a, b = mp.zeta(1 - s, x), mp.zeta(1 - s, 1 - x)
+    if kernel == "sin":
+        return mp.power(2 * mp.pi, s) * (a - b) / (4 * mp.gamma(s) * mp.sinpi(s / 2))
+    return mp.power(2 * mp.pi, s) * (a + b) / (4 * mp.gamma(s) * mp.cospi(s / 2))

@@ -170,3 +170,18 @@ def test_eval_weight_log_routes_to_abel(capsys):
     row = json.loads(capsys.readouterr().out)[0]
     assert row["method"] == "abel"
     assert row["terms_used"] > 0
+
+
+def test_eval_weight_log2_and_alternating_log_limit(capsys):
+    assert main(["eval", "--series", "cos", "--s", "1", "--x", "0.3",
+                 "--weight", "log2", "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)[0]
+    assert row["weight"] == "log2"
+    assert row["method"] == "abel"
+    assert main(["eval", "--series", "sin", "--alt", "--weight", "log",
+                 "--s", "0", "--x", "0.3", "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)[0]
+    assert row["method"] == "closed_form"
+    with workprec(CFG):
+        spec = SeriesSpec("sin", mpf("0.3"), 0, alternating=True, weight="log")
+        assert row["value"] == mp.nstr(regularized_limit(spec, CFG).value, 50)

@@ -1,53 +1,22 @@
-"""Series kernels, the rapid-tail summer, and Richardson extrapolation."""
+"""The rapid-tail summer, Richardson extrapolation, the oscillatory transform."""
 
 import pytest
 from mpmath import mp, mpf
 
 from regsum import (ArityError, ConvergenceError, DomainError, EvalConfig,
-                    DEFAULT_CONFIG, cot_via_series, richardson_extrapolate,
-                    riemann_zeta, sum_entire, sum_oscillatory, tan_via_series,
-                    workprec)
+                    DEFAULT_CONFIG, richardson_extrapolate, riemann_zeta,
+                    sum_entire, sum_oscillatory, workprec)
 
-from refs import catalan, seeded_uniforms
+from refs import catalan
 
 CFG = DEFAULT_CONFIG
 TOL = mpf("1e-20")
 
 
-def test_cot_exact_point():
-    with workprec(CFG):
-        assert abs(cot_via_series(mp.pi / 4) - 1) < TOL
-
-
-def test_cot_against_transcendental():
-    with workprec(CFG):
-        x = mpf("0.3")
-        assert abs(cot_via_series(x) - mp.cos(x) / mp.sin(x)) < TOL
-
-
-def test_tan_exact_point():
-    with workprec(CFG):
-        assert abs(tan_via_series(mp.pi / 4) - 1) < TOL
-
-
-def test_cot_tan_random_points():
-    with workprec(CFG):
-        for x in seeded_uniforms(20240215, 50, 0.01, 0.89):
-            arg = x * mp.pi
-            assert abs(cot_via_series(arg) - mp.cos(arg) / mp.sin(arg)) < TOL
-        for x in seeded_uniforms(42, 50, 0.01, 0.44):
-            arg = x * mp.pi
-            assert abs(tan_via_series(arg) - mp.sin(arg) / mp.cos(arg)) < TOL
-
-
 def test_domain_errors():
-    with workprec(CFG):
-        with pytest.raises(DomainError):
-            cot_via_series(mpf(0))
-        with pytest.raises(DomainError):
-            cot_via_series(mpf("0.95") * mp.pi)
-        with pytest.raises(DomainError):
-            tan_via_series(mpf("0.5") * mp.pi)
+    # extrapolation toward h = 0 needs every sample at h > 0
+    with pytest.raises(DomainError):
+        richardson_extrapolate([(mpf(1), mpf(1)), (mpf(0), mpf(1))], 1)
 
 
 def test_sum_entire_exponential():

@@ -3,14 +3,15 @@
 import pytest
 from mpmath import mp, mpf
 
-from regsum import (CapabilityError, DEFAULT_CONFIG, DomainError,
+from regsum import (CapabilityError, DEFAULT_CONFIG, DomainError, EvalConfig,
                     PrecisionLossWarning, RedirectError, SeriesSpec,
                     abel_oracle, closed_form_series, direct_oracle,
                     evaluate_series, gamma_fn, integer_cos_series,
                     integer_sin_series, log_cos_limit_series,
-                    regularized_limit, workprec)
+                    regularized_limit, riemann_zeta, workprec)
+from regsum.config import tolerance
 
-from refs import catalan, seeded_uniforms
+from refs import catalan, eta_tail, hurwitz_series, seeded_uniforms
 
 CFG = DEFAULT_CONFIG
 
@@ -151,13 +152,12 @@ def test_limit_alt_cos_unit():
 
 
 def test_limit_alt_sin_tan_route():
+    # the half-period shift carries the limit across x = 1/2 (tan(pi x)/2)
     with workprec(CFG):
-        x = mpf("0.3")
-        rv = regularized_limit(SeriesSpec("sin", x, 0, alternating=True), CFG)
-        assert abs(rv.value - mp.sinpi(x) / mp.cospi(x) / 2) < mpf("1e-10")
-        with pytest.raises(DomainError):
-            regularized_limit(
-                SeriesSpec("sin", mpf("0.6"), 0, alternating=True), CFG)
+        for x in (mpf("0.3"), mpf("0.6"), mpf("0.8")):
+            rv = regularized_limit(SeriesSpec("sin", x, 0, alternating=True),
+                                   CFG)
+            assert abs(rv.value - mp.tan(mp.pi * x) / 2) < mpf("1e-10"), x
 
 
 def test_limit_sin_log_half_point_vanishes():
@@ -178,16 +178,70 @@ def test_limit_cos_log_routes_agree():
 
 
 def test_limit_unsupported_combinations():
+    # alternating log weights at s = 0 have values; log^2 at s = 0 does not
     with workprec(CFG):
-        with pytest.raises(CapabilityError):
-            regularized_limit(
-                SeriesSpec("cos", mpf("0.3"), 0, alternating=True,
-                           weight="log"), CFG)
+        for kernel in ("sin", "cos"):
+            for x in (mpf("0.3"), mpf("0.7")):
+                spec = SeriesSpec(kernel, x, 0, alternating=True, weight="log")
+                rv = regularized_limit(spec, CFG)
+                ab = abel_oracle(spec, CFG)
+                assert abs(rv.value - ab.value) < mpf("1e-5"), (kernel, x)
+        rv = regularized_limit(SeriesSpec("cos", mpf("0.5"), 0, alternating=True,
+                                          weight="log"), CFG)
+        assert abs(rv.value + mp.log(2 * mp.pi) / 2) < mpf("1e-20")  # zeta'(0)
         with pytest.raises(CapabilityError):
             regularized_limit(
                 SeriesSpec("sin", mpf("0.3"), 0, weight="log2"), CFG)
         with pytest.raises(DomainError):
             regularized_limit(SeriesSpec("sin", mpf("0.3"), 1), CFG)
+
+
+def test_alternating_vs_oracles_across_half():
+    # x on both sides of 1/2: tan(pi x)/2 at s = 0, Abel for log weights at
+    # s = 0 and for unit weight at s = 1/2
+    with workprec(CFG):
+        for x in (mpf("0.1"), mpf("0.3"), mpf("0.6"), mpf("0.9")):
+            rv = evaluate_series(SeriesSpec("sin", x, 0, alternating=True), CFG)
+            assert abs(rv.value - mp.tan(mp.pi * x) / 2) < mpf("1e-20"), x
+            for kernel in ("sin", "cos"):
+                for s, weight in ((0, "log"), (mpf("0.5"), "unit")):
+                    spec = SeriesSpec(kernel, x, s, alternating=True,
+                                      weight=weight)
+                    rv = evaluate_series(spec, CFG)
+                    ab = abel_oracle(spec, CFG)
+                    assert abs(rv.value - ab.value) < mpf("1e-5"), \
+                        (kernel, x, s, weight)
+
+
+def test_closed_form_alternating_matches_printed_eta_form():
+    # the paper's eta-tail form for x < 1/2 against the half-period shift;
+    # s = 2 (sin) and s = 1 (cos) go through the integer branches
+    with workprec(CFG):
+        x = mpf("0.3")
+        cases = [(kernel, mpf(s)) for kernel in ("sin", "cos")
+                 for s in ("0.5", "1.5", "2.5", "3.5")]
+        cases += [("sin", mpf(2)), ("cos", mpf(1))]
+        for kernel, s in cases:
+            cf = closed_form_series(SeriesSpec(kernel, x, s, alternating=True),
+                                    CFG)
+            assert abs(cf.value - eta_tail(kernel, x, s, CFG)) < mpf("1e-20"), \
+                (kernel, s)
+
+
+def test_precision_100_digits_zeta_and_closed_form():
+    # zeta at negative non-integer s and the closed forms built on it keep
+    # the full working precision (no nested lower-precision context)
+    cfg = EvalConfig(100)
+    with workprec(cfg):
+        s, x = mpf("-2.5"), mpf("0.3")
+        z = riemann_zeta(s, cfg)
+        with mp.extradps(40):
+            ref = mp.zeta(s)
+        assert abs(z - ref) < tolerance(cfg)
+        cf = closed_form_series(SeriesSpec("sin", x, 1 - s), cfg)
+        with mp.extradps(40):
+            ref = hurwitz_series("sin", x, 1 - s)
+        assert abs(cf.value - ref) < tolerance(cfg)
 
 
 # ----------------------------- integer branches ---------------------------
