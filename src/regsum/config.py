@@ -16,6 +16,9 @@ from mpmath import mp, mpf
 # Intermediate computations carry this many digits beyond reporting precision.
 GUARD_DIGITS = 15
 
+# Entries kept by each module-level value cache before the oldest is evicted.
+CACHE_CAP = 4096
+
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -56,3 +59,10 @@ def xreal(value) -> mpf:
     if isinstance(value, Fraction):
         return mpf(value.numerator) / value.denominator
     return mpf(value)
+
+
+def cache_put(cache: dict, key, value) -> None:
+    """Store *value*, evicting the oldest entry once *cache* holds CACHE_CAP."""
+    if len(cache) >= CACHE_CAP:
+        del cache[next(iter(cache))]
+    cache[key] = value

@@ -14,7 +14,8 @@ from math import comb
 from mpmath import mp, mpf, mpc
 
 from .bernoulli import bernoulli_number, bernoulli_poly_coeffs, poly_eval
-from .config import DEFAULT_CONFIG, EvalConfig, tolerance, workprec, xreal
+from .config import (DEFAULT_CONFIG, EvalConfig, cache_put, tolerance, workprec,
+                     xreal)
 from .errors import CapabilityError, DomainError, UnknownIdentityError
 from .gammafn import digamma, loggamma
 from .kernels import sum_entire, sum_oscillatory
@@ -87,7 +88,7 @@ def _gamma1_oracle(x: mpf, cfg: EvalConfig) -> mpf:
     v = _G1_ORACLE_CACHE.get(key)
     if v is None:
         v = stieltjes_gamma1_limit(x, cfg)
-        _G1_ORACLE_CACHE[key] = v
+        cache_put(_G1_ORACLE_CACHE, key, v)
     return v
 
 

@@ -110,7 +110,8 @@ def _half_point_value(kernel: str, weight: str, s: mpf, cfg: EvalConfig) -> mpf:
     """The alternating series at x = 1/2, where the shift would land on 0.
 
     Every sine term vanishes; the cosine terms are -w(n)/n^s, continued to
-    -zeta(s) for unit weight and zeta'(s) for log weight.
+    -zeta(s) for unit weight, zeta'(s) for log weight and -zeta''(s) for
+    log^2 weight.
     """
     if kernel == "sin":
         return mpf(0)
@@ -118,7 +119,9 @@ def _half_point_value(kernel: str, weight: str, s: mpf, cfg: EvalConfig) -> mpf:
         raise PoleError("alternating cos series at x = 1/2 diverges at s = 1")
     if weight == "unit":
         return -riemann_zeta(s, cfg)
-    return hurwitz_zeta_deriv(1, s, 1, cfg)
+    if weight == "log":
+        return hurwitz_zeta_deriv(1, s, 1, cfg)
+    return -hurwitz_zeta_deriv(2, s, 1, cfg)
 
 
 # --------------------------------------------------------------------------
@@ -509,8 +512,11 @@ def evaluate_series(spec: SeriesSpec, cfg: EvalConfig | None = None) -> Regulari
         if s == 0:
             return regularized_limit(spec, cfg)
         if spec.weight != "unit":
-            # no closed forms with log weights at s > 0; Abel summation is
-            # still well-defined there
+            # with log weights at s > 0 only the alternating series at
+            # x = 1/2 has a closed form (a zeta derivative); elsewhere Abel
+            # summation is still well-defined
+            if spec.alternating and xreal(spec.x) == mpf(1) / 2:
+                return _closed_form(spec, cfg)
             return abel_oracle(spec, cfg)
         branch = None if spec.alternating else _integer_branch(spec.kernel, s)
         if branch is not None:

@@ -11,161 +11,158 @@ in s, so s-derivatives (up to second order) are obtained by differentiating
 termwise in closed form -- never by finite differences. The same formula
 expanded analytically about s = 1 yields the Laurent coefficients of
 zeta(s, a), i.e. the generalized Stieltjes constants; the 1/(s-1) pole
-separates exactly. Near s = 1 all evaluations switch to that expansion.
+separates exactly. Near s = 1 all evaluations switch to that expansion;
+every other s uses the formula (zeta(s) at s < 0 after the functional
+equation), with no direct Dirichlet sum.
 
-Truncation parameters (N, M) are chosen from the Bernoulli-number growth
-|B_{2j}|/(2j)! ~ 2/(2pi)^{2j}, so the first omitted correction term is
-pushed below the working tolerance; the omitted term itself is returned as
-a conservative error bound where callers need one.
+The corrections cost O(M): (s)_{2j-1} and its s-derivatives advance by two
+linear factors per j, and B_{2j}/(2j)! is cached as an mpf. For each M the
+smallest N that pushes the first omitted correction, bounded through
+|B_{2j}|/(2j)! ~ 2/(2pi)^{2j}, below the working tolerance follows in
+closed form; the (N, M) of least cost wins. The omitted term itself is
+returned as a conservative error bound where callers need one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .bernoulli import bernoulli_number, harmonic_number
-from .config import DEFAULT_CONFIG, EvalConfig, workprec, xreal
+from .bernoulli import BERNOULLI_INDEX_CAP, bernoulli_number, harmonic_number
+from .config import DEFAULT_CONFIG, EvalConfig, cache_put, workprec, xreal
 from .errors import ConvergenceError, DomainError, PoleError
 
 _LN10 = math.log(10.0)
+_LOG_2PI = math.log(2 * math.pi)
 
-# --------------------------------------------------------------------------
-# Pochhammer polynomial coefficient tables (exact integers, grown on demand)
-# --------------------------------------------------------------------------
-
-# _POCH[k] = ascending coefficients of s(s+1)...(s+k-1)
-_POCH: list[list[int]] = [[1], [0, 1]]
-# _POCH1[k] = ascending w-coefficients of (1+w)(2+w)...(k+w)
-_POCH1: list[list[int]] = [[1], [1, 1]]
-
-
-def _poch_coeffs(k: int) -> list[int]:
-    while len(_POCH) <= k:
-        m = len(_POCH) - 1
-        prev = _POCH[-1]
-        # multiply by (s + m)
-        nxt = [0] * (len(prev) + 1)
-        for i, c in enumerate(prev):
-            nxt[i] += m * c
-            nxt[i + 1] += c
-        _POCH.append(nxt)
-    return _POCH[k]
-
-
-def _poch1_coeffs(k: int) -> list[int]:
-    while len(_POCH1) <= k:
-        m = len(_POCH1)
-        prev = _POCH1[-1]
-        # multiply by (m + w)
-        nxt = [0] * (len(prev) + 1)
-        for i, c in enumerate(prev):
-            nxt[i] += m * c
-            nxt[i + 1] += c
-        _POCH1.append(nxt)
-    return _POCH1[k]
-
-
-def _poly_diff(coeffs: list[int]) -> list[int]:
-    return [i * c for i, c in enumerate(coeffs)][1:] or [0]
-
-
-def _horner(coeffs, s):
-    acc = mpf(0)
-    for c in reversed(coeffs):
-        acc = acc * s + c
-    return acc
-
+# Candidate correction counts, ~1.2x apart (the cost is flat near its
+# minimum), up to the largest whose Laurent error bound, which reads
+# B_{2M+2}, stays within BERNOULLI_INDEX_CAP.
+_M_STEPS = (1, 2, 4, 6, 8, 10, 12, 14, 17, 20, 24, 29, 34, 41, 50, 59, 71,
+            86, 103, 123, 148, 178, 213, BERNOULLI_INDEX_CAP // 2 - 1)
 
 # --------------------------------------------------------------------------
 # Euler-Maclaurin parameter selection and core evaluation
 # --------------------------------------------------------------------------
 
 def _em_params(sigma: float, a: float, kmax: int, digits: int) -> tuple[int, int]:
-    """Pick (N, M) so the first omitted correction is below 10^-(digits+2)."""
+    """Pick (N, M) so the first omitted correction is below 10^-(digits+2).
+
+    With Z = N + a and x = sigma + 2M + 1 > 2 that term is at most b, where
+        log b = log 8 - (2M+2) log 2pi + sum_{i<=2M} log max(1, |sigma+i|)
+                - x log Z + kmax log max(e, log Z).
+    log b <= target solves for log Z in closed form up to the kmax term,
+    whose fixed-point steps start above the root (log y <= y/e) and stay
+    there. The least 3N + (kmax+1)M wins: a head term costs an exp and a
+    log, a correction a few multiplications.
+    """
     target = -(digits + 2) * _LN10
-    best = None
-    for M in (10, 14, 20, 28, 40, 56, 80, 112, 160):
-        if 2 * M + 1 + sigma <= 2:
+    lz_min = math.log(max(4.0, a + 4.0, abs(sigma) / 4.0))
+    n_min = max(8, int(math.ceil(math.exp(lz_min) - a)) + 1)
+    # lp = sum_{i<=2M} log max(1, |sigma+i|), termwise below i0, then lgamma
+    i0 = max(0, math.ceil(1 - sigma))
+    lp0, i, best = 0.0, 0, None
+    for M in _M_STEPS:
+        while i < min(2 * M + 1, i0):
+            lp0 += math.log(max(1.0, abs(sigma + i)))
+            i += 1
+        x = sigma + 2 * M + 1
+        if x <= 2:
             continue
-        lp = sum(math.log(max(1.0, abs(sigma + i))) for i in range(2 * M + 1))
-        base = math.log(8.0) - (2 * M + 2) * math.log(2 * math.pi) + lp
-        Z = max(4.0, a + 4.0, abs(sigma) / 4.0)
-        found = None
-        for _ in range(80):
-            lz = math.log(Z)
-            logb = base + (-sigma - 2 * M - 1) * lz + kmax * math.log(max(math.e, lz))
-            if logb <= target:
-                found = Z
-                break
-            Z *= 1.4
-        if found is None:
-            continue
-        N = max(8, int(math.ceil(found - a)) + 1)
-        cost = N + (kmax + 1) * M * M // 2
+        lp = lp0
+        if x > sigma + i:
+            lp += math.lgamma(x) - math.lgamma(sigma + i)
+        rhs = math.log(8.0) - (2 * M + 2) * _LOG_2PI + lp - target
+        lz = (rhs + kmax) / (x - kmax / math.e)
+        if lz > 40:
+            continue  # over 10^17 head terms
+        for _ in range(3 if kmax else 0):
+            lz = (rhs + kmax * math.log(max(math.e, lz))) / x
+        N = max(n_min, int(math.ceil(math.exp(max(lz, lz_min)) - a)) + 1)
+        cost = 3 * N + (kmax + 1) * M
         if best is None or cost < best[0]:
             best = (cost, N, M)
+        if N == n_min or cost > best[0]:
+            break  # the cost is convex in M: past its minimum
     if best is None:
         raise ConvergenceError("no Euler-Maclaurin parameters found")
     return best[1], best[2]
 
 
-def _beta(j: int) -> Fraction:
-    """B_{2j} / (2j)! exactly."""
-    return bernoulli_number(2 * j) / Fraction(math.factorial(2 * j))
+_BETA_CACHE: dict[tuple[int, int], mpf] = {}
+
+
+def _beta(j: int) -> mpf:
+    """B_{2j} / (2j)! at the current precision."""
+    key = (j, mp.prec)
+    v = _BETA_CACHE.get(key)
+    if v is None:
+        v = xreal(bernoulli_number(2 * j) / math.factorial(2 * j))
+        cache_put(_BETA_CACHE, key, v)
+    return v
 
 
 def _em_zeta_derivs(s: mpf, a: mpf, kmax: int) -> list[mpf]:
     """[zeta(s,a), zeta'(s,a), ..., up to kmax] at the current precision.
 
     Requires |s - 1| not tiny (the near-pole band is served by the Laurent
-    route) and a > 0.
+    route) and a > 0. For s < 0 the head terms grow to (N+a)^{-s} and
+    cancel down to the result, so the sum carries that many more digits.
     """
+    sigma, af = float(s), float(a)
     digits = mp.dps
-    N, M = _em_params(float(s), float(a), kmax, digits)
-    d = [mpf(0) for _ in range(kmax + 1)]
-    for n in range(N):
-        t = n + a
-        L = mp.log(t)
-        p = mp.exp(-s * L)
-        d[0] += p
+    N, M = _em_params(sigma, af, kmax, digits)
+    if sigma < 0:
+        digits += int(math.ceil(-sigma * math.log10(N + af))) + 2
+        N, M = _em_params(sigma, af, kmax, digits)
+    with mp.workdps(digits):
+        d = [mpf(0) for _ in range(kmax + 1)]
+        for n in range(N):
+            t = n + a
+            L = mp.log(t)
+            p = mp.exp(-s * L)
+            d[0] += p
+            if kmax >= 1:
+                d[1] -= L * p
+            if kmax >= 2:
+                d[2] += L * L * p
+        Z = N + a
+        L = mp.log(Z)
+        w = s - 1
+        E = mp.exp((1 - s) * L)  # Z^{1-s}
+        d[0] += E / w
         if kmax >= 1:
-            d[1] -= L * p
+            d[1] -= E * (L / w + 1 / w**2)
         if kmax >= 2:
-            d[2] += L * L * p
-    Z = N + a
-    L = mp.log(Z)
-    w = s - 1
-    E = mp.exp((1 - s) * L)  # Z^{1-s}
-    d[0] += E / w
-    if kmax >= 1:
-        d[1] -= E * (L / w + 1 / w**2)
-    if kmax >= 2:
-        d[2] += E * (L * L / w + 2 * L / w**2 + 2 / w**3)
-    P = mp.exp(-s * L)  # Z^{-s}
-    d[0] += P / 2
-    if kmax >= 1:
-        d[1] -= L * P / 2
-    if kmax >= 2:
-        d[2] += L * L * P / 2
-    pw = P / Z  # Z^{-s-2j+1} at j=1
-    zm2 = 1 / (Z * Z)
-    for j in range(1, M + 1):
-        b = xreal(_beta(j))
-        c0 = _poch_coeffs(2 * j - 1)
-        p0 = _horner(c0, s)
-        d[0] += b * p0 * pw
+            d[2] += E * (L * L / w + 2 * L / w**2 + 2 / w**3)
+        P = mp.exp(-s * L)  # Z^{-s}
+        d[0] += P / 2
         if kmax >= 1:
-            p1 = _horner(_poly_diff(c0), s)
-            d[1] += b * (p1 - L * p0) * pw
+            d[1] -= L * P / 2
         if kmax >= 2:
-            p2 = _horner(_poly_diff(_poly_diff(c0)), s)
-            d[2] += b * (p2 - 2 * L * p1 + L * L * p0) * pw
-        pw *= zm2
-    return d
+            d[2] += L * L * P / 2
+        # p0 = (s)_{2j-1}, p1 = p0', p2 = p0''; each j multiplies in
+        # (s+2j-1)(s+2j), differentiated by the product rule
+        p0, p1, p2 = s, mpf(1), mpf(0)
+        pw = P / Z  # Z^{-s-2j+1} at j=1
+        zm2 = 1 / (Z * Z)
+        for j in range(1, M + 1):
+            b = _beta(j) * pw
+            d[0] += b * p0
+            if kmax >= 1:
+                d[1] += b * (p1 - L * p0)
+            if kmax >= 2:
+                d[2] += b * (p2 - 2 * L * p1 + L * L * p0)
+            for q in (s + (2 * j - 1), s + 2 * j):
+                if kmax >= 2:
+                    p2 = p2 * q + 2 * p1
+                if kmax >= 1:
+                    p1 = p1 * q + p0
+                p0 = p0 * q
+            pw *= zm2
+    return [+v for v in d]
 
 
 # --------------------------------------------------------------------------
@@ -199,38 +196,34 @@ def _laurent_wcoeffs(a: mpf, order: int) -> tuple[list[mpf], mpf]:
             c[k] += p
     Z = N + a
     L = mp.log(Z)
-    # integral piece e^{-wL}/w - 1/w  ->  (-1)^{k+1} L^{k+1}/(k+1)!
-    term = -L
-    c[0] += term
-    for k in range(1, K + 1):
-        term *= -L / (k + 1)
-        c[k] += term
-    # half term Z^{-1}/2 * (-L)^k / k!
-    term = 1 / (2 * Z)
-    c[0] += term
-    for k in range(1, K + 1):
-        term *= -L / k
-        c[k] += term
-    # E[i] = (-L)^i / i!
+    # Z^{-w} = sum_i E[i] w^i, E[i] = (-L)^i / i!
     E = [mpf(1)]
-    for i in range(1, K + 1):
+    for i in range(1, K + 2):
         E.append(E[-1] * (-L) / i)
-    zpow = 1 / (Z * Z)
+    # S(w) Z^{-w} holds the half term Z^{-1-w}/2 and the corrections
+    # B_{2j}/(2j)! Z^{-2j} (1+w)(2+w)...(2j-1+w) Z^{-w}; the rising product
+    # R advances by two linear factors per j, truncated at w^K
+    S = [1 / (2 * Z)] + [mpf(0)] * K
+    R = [mpf(1), mpf(1)][:K + 1]
+    zm2 = 1 / (Z * Z)
+    zpow = zm2
     for j in range(1, M + 1):
-        base = xreal(_beta(j)) * zpow
-        q = _poch1_coeffs(2 * j - 1)
-        deg = 2 * j - 1
-        for k in range(K + 1):
-            acc = mpf(0)
-            for m in range(0, min(k, deg) + 1):
-                acc += q[m] * E[k - m]
-            c[k] += base * acc
-        zpow /= Z * Z
-    # error bound from the first omitted correction term
-    bound = abs(xreal(_beta(M + 1))) * mp.exp(-(2 * M + 2) * L) * _horner(
-        [abs(q) for q in _poch1_coeffs(2 * M + 1)], mpf(1)) * 4
+        b = _beta(j) * zpow
+        for k, r in enumerate(R):
+            S[k] += b * r
+        for m in (2 * j, 2 * j + 1):  # R <- R (m + w)
+            top = R[-1:] if len(R) <= K else []
+            R = [m * R[0]] + [m * r + q for r, q in zip(R[1:], R)] + top
+        zpow *= zm2
+    # plus (Z^{-w} - 1)/w, the integral piece less the pole
+    for k in range(K + 1):
+        c[k] += E[k + 1] + mp.fsum(S[m] * E[k - m] for m in range(k + 1))
+    # error bound from the first omitted correction term; the coefficients
+    # of (1+w)...(2M+1+w) sum to its value at w = 1, (2M+2)!
+    bound = (abs(_beta(M + 1)) * mp.exp(-(2 * M + 2) * L)
+             * mp.factorial(2 * M + 2) * 4)
     out = ([+v for v in c], +bound)
-    _LAURENT_CACHE[key] = out
+    cache_put(_LAURENT_CACHE, key, out)
     return out
 
 
@@ -247,10 +240,7 @@ def _hurwitz_near_one(k: int, s: mpf, a: mpf) -> mpf:
     wpow = mpf(1)
     for n in range(k, len(c)):
         # d^k/ds^k w^n = n!/(n-k)! w^{n-k}
-        fall = mpf(1)
-        for i in range(k):
-            fall *= n - i
-        val += c[n] * fall * wpow
+        val += c[n] * math.perm(n, k) * wpow
         wpow *= w
     return val
 
@@ -271,7 +261,7 @@ def euler_gamma(cfg: EvalConfig | None = None) -> mpf:
         if v is None:
             c, _ = _laurent_wcoeffs(mpf(1), 2)
             v = +c[0]
-            _CONST_CACHE[key] = v
+            cache_put(_CONST_CACHE, key, v)
         return v
 
 
@@ -280,67 +270,56 @@ def log_two_pi() -> mpf:
     v = _CONST_CACHE.get(key)
     if v is None:
         v = mp.log(2 * mp.pi)
-        _CONST_CACHE[key] = v
+        cache_put(_CONST_CACHE, key, v)
     return v
 
 
 _RZ_CACHE: dict[tuple, mpf] = {}
 
-# Above this exponent the defining Dirichlet series needs only a handful of
-# terms at any supported precision.
-_DIRECT_S = 30
-
-
-def _zeta_direct(s: mpf, deriv: bool = False) -> mpf:
-    nmax = int(math.ceil(10 ** ((mp.dps + 2) / float(s)))) + 2
-    acc = mpf(0) if deriv else mpf(1)
-    for n in range(2, nmax + 1):
-        t = mp.power(n, -s)
-        acc += -mp.log(n) * t if deriv else t
-    return acc
-
 
 def _rz(s: mpf) -> mpf:
-    """Riemann zeta at the current working precision (s != 1)."""
+    """Riemann zeta at the current working precision (s != 1).
+
+    The Laurent expansion inside |s-1| < 0.1, Euler's formula at positive
+    even integers, Euler-Maclaurin at every other s > 0, Bernoulli numbers
+    at integers s <= 0 and the functional equation at other s < 0.
+    """
     key = (s, mp.dps)
     hit = _RZ_CACHE.get(key)
     if hit is not None:
         return hit
     if abs(s - 1) < mpf("0.1"):
         v = _hurwitz_near_one(0, s, mpf(1))
-    elif s > 1:
-        if s == int(s) and int(s) % 2 == 0 and int(s) <= 2 * 512:
+    elif s > 0:
+        if s == int(s) and int(s) % 2 == 0 and int(s) <= BERNOULLI_INDEX_CAP:
             k = int(s) // 2
             b = bernoulli_number(2 * k)
             v = ((-1) ** (k + 1) * xreal(b) * (2 * mp.pi) ** (2 * k)
                  / (2 * mp.factorial(2 * k)))
-        elif s >= _DIRECT_S:
-            v = _zeta_direct(s)
         else:
             v = _em_zeta_derivs(s, mpf(1), 0)[0]
-    elif s <= 0 and s == int(s):
+    elif s == int(s):
         m = -int(s)
         if m == 0:
             v = mpf(-1) / 2
         else:
             v = -xreal(bernoulli_number(m + 1)) / (m + 1)
-    elif s < 0:
+    else:
         # functional equation: zeta(s) = 2^s pi^{s-1} sin(pi s/2) Gamma(1-s) zeta(1-s)
         v = (mp.power(2, s) * mp.power(mp.pi, s - 1) * mp.sin(mp.pi * s / 2)
              * mp.gamma(1 - s) * _rz(1 - s))
-    else:
-        v = _em_zeta_derivs(s, mpf(1), 0)[0]
     v = +v
-    _RZ_CACHE[key] = v
+    cache_put(_RZ_CACHE, key, v)
     return v
 
 
 def riemann_zeta(s, cfg: EvalConfig | None = None) -> mpf:
     """zeta(s) for real s != 1.
 
-    Euler-Maclaurin for s > 1, Bernoulli/functional-equation routes for
-    s < 0, the Laurent expansion inside |s-1| < 0.1, Euler's even-integer
-    formula for positive even s.
+    Euler-Maclaurin for s > 0 (no direct Dirichlet sum, so the cost stays
+    polynomial in the digit count at any s), Bernoulli/functional-equation
+    routes for s <= 0, the Laurent expansion inside |s-1| < 0.1, Euler's
+    even-integer formula for positive even s.
     """
     cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
@@ -434,16 +413,12 @@ def zeta_sderiv_at_negatives(j: int, cfg: EvalConfig | None = None) -> mpf:
         else:
             k = (j + 1) // 2
             s2k = xreal(2 * k)
-            if s2k >= _DIRECT_S:
-                z = _zeta_direct(s2k)
-                zp = _zeta_direct(s2k, deriv=True)
-            else:
-                z, zp = _em_zeta_derivs(s2k, mpf(1), 1)
+            z, zp = _em_zeta_derivs(s2k, mpf(1), 1)
             h = xreal(harmonic_number(2 * k - 1))
             v = (xreal(bernoulli_number(2 * k)) / (2 * k)
                  * (zp / z + h - euler_gamma(cfg) - log_two_pi()))
         v = +v
-        _ZPN_CACHE[key] = v
+        cache_put(_ZPN_CACHE, key, v)
         return v
 
 
@@ -585,8 +560,7 @@ def phi_ramanujan(x, cfg: EvalConfig | None = None) -> mpf:
         fNx = dict((k, v) for v, k in fderivs(N + x))
         acc += (fN[0] - fNx[0]) / 2
         for j in range(1, M + 1):
-            b = xreal(_beta(j))
-            acc -= b * (fN[2 * j - 1] - fNx[2 * j - 1])
+            acc -= _beta(j) * (fN[2 * j - 1] - fNx[2 * j - 1])
         return +acc
 
 

@@ -4,7 +4,7 @@ import pytest
 from mpmath import mp, mpf
 
 from regsum import (CapabilityError, DEFAULT_CONFIG, DomainError, EvalConfig,
-                    PrecisionLossWarning, RedirectError, SeriesSpec,
+                    PoleError, PrecisionLossWarning, RedirectError, SeriesSpec,
                     abel_oracle, closed_form_series, direct_oracle,
                     evaluate_series, gamma_fn, integer_cos_series,
                     integer_sin_series, log_cos_limit_series,
@@ -194,6 +194,27 @@ def test_limit_unsupported_combinations():
                 SeriesSpec("sin", mpf("0.3"), 0, weight="log2"), CFG)
         with pytest.raises(DomainError):
             regularized_limit(SeriesSpec("sin", mpf("0.3"), 1), CFG)
+
+
+def test_alternating_cos_half_point_log_weights():
+    # at x = 1/2 the alternating cosine terms are -w(n)/n^s: zeta'(s) for log
+    # weight, -zeta''(s) for log^2; the Abel sums diverge there
+    with workprec(CFG):
+        half = mpf(1) / 2
+        for s in (mpf(0.5), mpf(1.5), mpf(2.5)):
+            for weight, k, sign in (("log", 1, 1), ("log2", 2, -1)):
+                rv = evaluate_series(SeriesSpec("cos", half, s, alternating=True,
+                                                weight=weight), CFG)
+                with mp.workdps(mp.dps + 40):
+                    ref = sign * mp.zeta(s, 1, k)
+                assert abs(rv.value - ref) < tolerance(CFG), (s, weight)
+        for weight in ("log", "log2"):
+            with pytest.raises(PoleError):
+                evaluate_series(SeriesSpec("cos", half, 1, alternating=True,
+                                           weight=weight), CFG)
+        with pytest.raises(CapabilityError):
+            evaluate_series(SeriesSpec("cos", half, 0, alternating=True,
+                                       weight="log2"), CFG)
 
 
 def test_alternating_vs_oracles_across_half():

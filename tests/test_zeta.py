@@ -5,18 +5,22 @@ transcendental closed forms, or the independent limit-formula oracle --
 never from the code path being checked.
 """
 
+import time
+
 import pytest
 from mpmath import mp, mpf
 
-from regsum import (DEFAULT_CONFIG, DomainError, PoleError, bernoulli_number,
-                    digamma, eta, euler_gamma, hurwitz_zeta_deriv,
+from regsum import (DEFAULT_CONFIG, DomainError, EvalConfig, PoleError,
+                    SeriesSpec, bernoulli_number, closed_form_series, digamma,
+                    eta, euler_gamma, hurwitz_zeta_deriv,
                     laurent_coefficients, loggamma, phi_ramanujan,
                     riemann_zeta, stieltjes_gamma1, stieltjes_gamma1_limit,
                     stieltjes_integral, workprec, xreal,
                     zeta_prime_at_zero, zeta_sderiv_at_negatives)
+from regsum.config import CACHE_CAP, cache_put, tolerance, working_dps
 
-from refs import (euler_gamma_ref, gamma1_ref, romberg, seeded_uniforms,
-                  zeta3_ref)
+from refs import (euler_gamma_ref, gamma1_ref, hurwitz_series, romberg,
+                  seeded_uniforms, zeta3_ref)
 
 CFG = DEFAULT_CONFIG
 TOL = "1e-20"
@@ -278,3 +282,67 @@ def test_stieltjes_integral_domain():
         stieltjes_integral(2, mpf("0.5"), CFG)
     with pytest.raises(DomainError):
         stieltjes_integral(0, 0, CFG)
+
+
+# ----------------------- precision sweep of the engine --------------------
+
+# Built once from binary floats, so both sides see the same exact values; a
+# decimal string parsed at a higher precision would move them by ~1e-17.
+SWEEP_S = [mpf(v) for v in (-40.5, -5.5, -0.5, 0.5, 0.95, 2.5, 31.5, 64.25)]
+SWEEP_A = [mpf(v) for v in (0.1, 0.3, 1, 1.7)]
+SWEEP_DIGITS = [30, 50, 100,
+                pytest.param(200, marks=pytest.mark.slow),
+                pytest.param(300, marks=pytest.mark.slow)]
+
+
+def _within_tol(value, ref, cfg):
+    # absolute below |ref| = 1, relative above: zeta(-40.5, a) is ~1e17
+    return abs(value - ref) <= tolerance(cfg) * max(1, abs(ref))
+
+
+@pytest.mark.parametrize("digits", SWEEP_DIGITS)
+def test_engine_precision_sweep(digits):
+    cfg = EvalConfig(precision_digits=digits)
+    ref_dps = working_dps(cfg) + 60
+    bad = []
+    for k in (0, 1, 2):
+        for s in SWEEP_S:
+            for a in SWEEP_A:
+                v = hurwitz_zeta_deriv(k, s, a, cfg)
+                with mp.workdps(ref_dps):
+                    if not _within_tol(v, mp.zeta(s, a, k), cfg):
+                        bad.append(("hurwitz", k, s, a))
+    # 31.5 and 64.25 used to take a direct Dirichlet sum, as did odd j >= 29
+    for s in (mpf(31.5), mpf(64.25)):
+        v = riemann_zeta(s, cfg)
+        with mp.workdps(ref_dps):
+            if not _within_tol(v, mp.zeta(s), cfg):
+                bad.append(("riemann", s))
+    for j in (1, 2, 29, 41, 61):
+        v = zeta_sderiv_at_negatives(j, cfg)
+        with mp.workdps(ref_dps):
+            if not _within_tol(v, mp.zeta(-j, 1, 1), cfg):
+                bad.append(("zeta'(-j)", j))
+    assert not bad, bad
+
+
+def test_closed_form_has_no_precision_cliff():
+    # the zeta tail reaches s up to ~120 through the functional equation; a
+    # direct Dirichlet sum there needs 10^((dps+2)/s) terms (~500 s here)
+    cfg = EvalConfig(precision_digits=200)
+    x, s = mpf(0.3), mpf(0.5)
+    t0 = time.perf_counter()
+    rv = closed_form_series(SeriesSpec("sin", x, s), cfg)
+    elapsed = time.perf_counter() - t0
+    with mp.workdps(working_dps(cfg) + 60):
+        # equals Im polylog(s, e^{2 pi i x}), which mpmath takes ~15 s for
+        assert abs(rv.value - hurwitz_series("sin", x, s)) <= tolerance(cfg)
+    assert elapsed < 10, elapsed
+
+
+def test_cache_put_evicts_oldest_at_cap():
+    cache = {}
+    for i in range(CACHE_CAP + 3):
+        cache_put(cache, i, -i)
+    assert len(cache) == CACHE_CAP
+    assert list(cache)[:2] == [3, 4] and cache[CACHE_CAP + 2] == -(CACHE_CAP + 2)
