@@ -45,9 +45,6 @@ class CliRequest:
     output_format: str = "text"
     output_path: str | None = None
 
-    def config(self) -> EvalConfig:
-        return EvalConfig(precision_digits=self.precision_digits)
-
 
 def _parse_number(text: str, flag: str) -> Fraction:
     try:
@@ -285,22 +282,20 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"regsum: {exc}", file=sys.stderr)
         return 2
-    cfg = req.config()
     digits = req.precision_digits
     try:
-        with workprec(cfg):
+        with workprec(EvalConfig(digits)):
             if req.command in ("eval", "table"):
                 rows = []
                 for x in req.grid:
                     spec = SeriesSpec(req.series, xreal(x), xreal(req.s),
                                       alternating=req.alternating,
                                       weight=req.weight)
-                    rows.append(_eval_row(x, evaluate_series(spec, cfg),
-                                          req, digits))
+                    rows.append(_eval_row(x, evaluate_series(spec), req,
+                                          digits))
                 return emit_report(rows, req.output_format,
                                    req.output_path, digits)
-            reports = run_suite(req.identities, [xreal(g) for g in req.grid],
-                                cfg)
+            reports = run_suite(req.identities, [xreal(g) for g in req.grid])
             if req.tol_override is not None:
                 tol = xreal(req.tol_override)
                 for r in reports:

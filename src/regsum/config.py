@@ -1,13 +1,15 @@
-"""Evaluation configuration and working-precision helpers.
+"""Evaluation configuration and the one owner of the working precision.
 
-All real-valued quantities are carried as ``mpmath.mpf`` values. The
-reporting precision comes from :class:`EvalConfig`; computations run with
-:data:`GUARD_DIGITS` extra digits so that rounding in long summations stays
-far below the advertised tolerances.
+All real-valued quantities are carried as ``mpmath.mpf`` values, with
+:data:`GUARD_DIGITS` beyond the reporting precision of :class:`EvalConfig`.
+The outermost regsum call sets ``mp.dps`` through :func:`workprec`; nested
+calls inherit it, so a missing ``cfg`` can never lower the precision.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,36 +24,53 @@ CACHE_CAP = 4096
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Process-wide evaluation parameters.
+    """The precision an outermost regsum call applies; nested calls inherit.
 
     The absolute tolerance is 10^-(precision_digits - 30), i.e. 1e-20 at the
     default 50-digit precision; see :func:`tolerance`.
     """
 
     precision_digits: int = 50
-    max_terms: int = 10**6
 
     def __post_init__(self):
         if self.precision_digits < 30:
             raise ValueError("precision_digits must be >= 30")
-        if self.max_terms < 100:
-            raise ValueError("max_terms must be >= 100")
 
 
 DEFAULT_CONFIG = EvalConfig()
+
+# The config that set mp.dps; None outside workprec.
+_ACTIVE: ContextVar[EvalConfig | None] = ContextVar("regsum_cfg", default=None)
 
 
 def working_dps(cfg: EvalConfig) -> int:
     return cfg.precision_digits + GUARD_DIGITS
 
 
-def workprec(cfg: EvalConfig):
-    """Context manager setting mpmath decimal precision for *cfg*."""
-    return mp.workdps(working_dps(cfg))
+@contextmanager
+def workprec(cfg: EvalConfig | None = None):
+    """Set mp.dps from *cfg* (outermost default: DEFAULT_CONFIG) for the
+    block; inside another workprec a missing or equal *cfg* keeps the
+    caller's precision, a different one takes over until the block ends."""
+    active = _ACTIVE.get()
+    if active is not None and cfg in (None, active):
+        yield
+        return
+    cfg = DEFAULT_CONFIG if cfg is None else cfg
+    token = _ACTIVE.set(cfg)
+    try:
+        with mp.workdps(working_dps(cfg)):
+            yield
+    finally:
+        _ACTIVE.reset(token)
 
 
-def tolerance(cfg: EvalConfig) -> mpf:
-    return mpf(10) ** -(cfg.precision_digits - 30)
+def tolerance(cfg: EvalConfig | None = None) -> mpf:
+    """10^-(precision_digits - 30) at *cfg*'s working precision, whatever the
+    caller's mp.dps; *cfg* defaults to the active config."""
+    cfg = cfg or _ACTIVE.get() or DEFAULT_CONFIG
+    with mp.workdps(working_dps(cfg)):
+        return mpf(10) ** -(cfg.precision_digits - 30)
 
 
 def xreal(value) -> mpf:

@@ -1,21 +1,20 @@
 """Digamma, log-gamma and gamma at a configurable precision.
 
 Thin checked wrappers over mpmath's ``digamma``, ``loggamma`` and ``gamma``:
-they set the working precision from the config, reject arguments outside
-the real domain, and report the poles at non-positive integers.
+they run under :func:`workprec`, reject arguments outside the real domain,
+and report the poles at non-positive integers.
 """
 
 from __future__ import annotations
 
 from mpmath import mp, mpf
 
-from .config import DEFAULT_CONFIG, EvalConfig, workprec, xreal
+from .config import EvalConfig, workprec, xreal
 from .errors import DomainError, PoleError
 
 
 def digamma(x, cfg: EvalConfig | None = None) -> mpf:
     """psi(x) for real x > 0."""
-    cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
         x = xreal(x)
         if x <= 0:
@@ -27,7 +26,6 @@ def digamma(x, cfg: EvalConfig | None = None) -> mpf:
 
 def loggamma(x, cfg: EvalConfig | None = None) -> mpf:
     """log Gamma(x) for real x > 0."""
-    cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
         x = xreal(x)
         if x <= 0:
@@ -37,7 +35,6 @@ def loggamma(x, cfg: EvalConfig | None = None) -> mpf:
 
 def gamma_fn(x, cfg: EvalConfig | None = None) -> mpf:
     """Gamma(x) for real non-pole x."""
-    cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
         x = xreal(x)
         if x <= 0 and x == int(x):

@@ -14,8 +14,7 @@ from math import comb
 from mpmath import mp, mpf, mpc
 
 from .bernoulli import bernoulli_number, bernoulli_poly_coeffs, poly_eval
-from .config import (DEFAULT_CONFIG, EvalConfig, cache_put, tolerance, workprec,
-                     xreal)
+from .config import EvalConfig, cache_put, tolerance, workprec, xreal
 from .errors import CapabilityError, DomainError, UnknownIdentityError
 from .gammafn import digamma, loggamma
 from .kernels import sum_entire, sum_oscillatory
@@ -64,14 +63,13 @@ def polylog_unimodular(order: int, x, cfg: EvalConfig | None = None):
     """
     if order < 2 or order != int(order):
         raise CapabilityError("polylog_unimodular needs integer order >= 2")
-    cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
         x = xreal(x)
         if not (0 < x < 1):
             raise DomainError("x must lie strictly inside (0, 1)")
         z = mp.expjpi(2 * x)
         val, _ = sum_oscillatory(lambda n: mpf(1) / mpf(n) ** int(order), z,
-                                 tolerance(cfg) / 10, max_terms=cfg.max_terms)
+                                 tolerance() / 10)
         return +val.real, +val.imag
 
 
@@ -83,11 +81,11 @@ def polylog_unimodular(order: int, x, cfg: EvalConfig | None = None):
 _G1_ORACLE_CACHE: dict[tuple, mpf] = {}
 
 
-def _gamma1_oracle(x: mpf, cfg: EvalConfig) -> mpf:
+def _gamma1_oracle(x: mpf) -> mpf:
     key = (x, mp.dps)
     v = _G1_ORACLE_CACHE.get(key)
     if v is None:
-        v = stieltjes_gamma1_limit(x, cfg)
+        v = stieltjes_gamma1_limit(x)
         cache_put(_G1_ORACLE_CACHE, key, v)
     return v
 
@@ -96,10 +94,10 @@ def _cot_pi(x: mpf) -> mpf:
     return mp.cospi(x) / mp.sinpi(x)
 
 
-def _id_entry17v(x, cfg):
-    lhs = _gamma1_oracle(1 - x, cfg) - _gamma1_oracle(x, cfg)
-    c = euler_gamma(cfg) + log_two_pi()
-    sin_log = regularized_limit(SeriesSpec("sin", x, 0, weight="log"), cfg)
+def _id_entry17v(x):
+    lhs = _gamma1_oracle(1 - x) - _gamma1_oracle(x)
+    c = euler_gamma() + log_two_pi()
+    sin_log = regularized_limit(SeriesSpec("sin", x, 0, weight="log"))
     rhs = mp.pi * c * _cot_pi(x) + 2 * mp.pi * sin_log.value
     notes = ("lhs: gamma1 limit-formula oracle at 1-x and x; "
              "rhs: pi(gamma+log 2pi)cot(pi x) plus the zeta'(-odd) series "
@@ -107,21 +105,21 @@ def _id_entry17v(x, cfg):
     return [("", lhs, rhs)], notes
 
 
-def _id_cot_limit(x, cfg):
-    v = regularized_limit(SeriesSpec("sin", x, 0), cfg)
+def _id_cot_limit(x):
+    v = regularized_limit(SeriesSpec("sin", x, 0))
     rhs = _cot_pi(x) / 2
     notes = ("lhs: regularized exponent limit via exact-Bernoulli zeta(-odd) "
              "series; rhs: cot(pi x)/2 by direct transcendental evaluation")
     return [("", v.value, rhs)], notes
 
 
-def _limit_series_em(kernel: str, alternating: bool, x, cfg):
+def _limit_series_em(kernel: str, alternating: bool, x):
     """s->0 limit series with zeta/eta taken from Euler-Maclaurin
     continuation (keeps the constant-limit checks non-vacuous)."""
     w = 2 * mp.pi * x
 
     def zeta_em(s):
-        v = hurwitz_zeta_deriv(0, s, 1, cfg)
+        v = hurwitz_zeta_deriv(0, s, 1)
         if alternating:
             v = -v if s == 0 else (1 - mp.power(2, 1 - s)) * v
         return v
@@ -129,26 +127,26 @@ def _limit_series_em(kernel: str, alternating: bool, x, cfg):
     def term(n):
         return ((-1) ** n * zeta_em(mpf(-2 * n))
                 * mp.power(w, 2 * n) / mp.factorial(2 * n))
-    val, _ = sum_entire(term, cfg)
+    val, _ = sum_entire(term)
     return val
 
 
-def _id_cos_limit(x, cfg):
-    lhs = _limit_series_em("cos", False, x, cfg)
+def _id_cos_limit(x):
+    lhs = _limit_series_em("cos", False, x)
     notes = ("lhs: zeta(-2n) series with zeta from Euler-Maclaurin "
              "continuation; rhs: -1/2")
     return [("", lhs, mpf(-1) / 2)], notes
 
 
-def _id_alt_cos_limit(x, cfg):
-    lhs = _limit_series_em("cos", True, x, cfg)
+def _id_alt_cos_limit(x):
+    lhs = _limit_series_em("cos", True, x)
     notes = ("lhs: eta(-2n) series with eta from Euler-Maclaurin "
              "continuation; rhs: 1/2")
     return [("", lhs, mpf(1) / 2)], notes
 
 
-def _id_alt_sin_limit(x, cfg):
-    v = regularized_limit(SeriesSpec("sin", x, 0, alternating=True), cfg)
+def _id_alt_sin_limit(x):
+    v = regularized_limit(SeriesSpec("sin", x, 0, alternating=True))
     rhs = mp.sinpi(x) / mp.cospi(x) / 2
     notes = ("lhs: half-period shift to the plain sine limit at 1/2 - x "
              "(zeta(-odd) series); rhs: tan(pi x)/2 by direct "
@@ -178,7 +176,7 @@ def _bernoulli_odd_sub(m: int):
     return ok, poly_eval(lhs, third), poly_eval(rhs, third)
 
 
-def _id_bernoulli_odd(m, cfg):
+def _id_bernoulli_odd(m):
     ms = range(0, 21) if m is None else [int(m)]
     subs = []
     all_ok = True
@@ -194,18 +192,18 @@ def _id_bernoulli_odd(m, cfg):
     return subs, notes
 
 
-def _id_half_point_value(_, cfg):
+def _id_half_point_value(_):
     def term(n):
-        return ((-1) ** (n + 1) * zeta_sderiv_at_negatives(2 * n + 1, cfg)
+        return ((-1) ** (n + 1) * zeta_sderiv_at_negatives(2 * n + 1)
                 * mp.pi ** (2 * n + 1) / mp.factorial(2 * n + 1))
-    lhs, _n = sum_entire(term, cfg)
-    rhs = (euler_gamma(cfg) + mp.log(mp.pi)) / mp.pi
+    lhs, _n = sum_entire(term)
+    rhs = (euler_gamma() + mp.log(mp.pi)) / mp.pi
     notes = ("lhs: zeta'(-odd) series at the half point via the reflection "
              "substitution; rhs: (gamma + log pi)/pi")
     return [("", lhs, rhs)], notes
 
 
-def _log_cos_s1_closed(t, cfg):
+def _log_cos_s1_closed(t):
     """sum_n log n cos(2 pi n t)/n by differentiating the cosine closed form
     at s = 1, where the prefactor pole and the zeta(s) pole cancel:
     value = p2 + gamma1 - sum_{n>=1} (-1)^n zeta'(1-2n) (2 pi t)^{2n}/(2n)!
@@ -214,23 +212,23 @@ def _log_cos_s1_closed(t, cfg):
     if t > mpf(1) / 2:
         t = 1 - t  # cos(2 n pi t) is even about t = 1/2 termwise
     L = mp.log(2 * mp.pi * t)
-    g = euler_gamma(cfg)
+    g = euler_gamma()
     p2 = L * L / 2 + g * L + g * g / 2 - mp.pi ** 2 / 24
     w = 2 * mp.pi * t
 
     def term(i):
         n = i + 1
-        return ((-1) ** n * zeta_sderiv_at_negatives(2 * n - 1, cfg)
+        return ((-1) ** n * zeta_sderiv_at_negatives(2 * n - 1)
                 * mp.power(w, 2 * n) / mp.factorial(2 * n))
-    T, _ = sum_entire(term, cfg)
-    return p2 + stieltjes_gamma1(1, cfg) - T
+    T, _ = sum_entire(term)
+    return p2 + stieltjes_gamma1(1) - T
 
 
-def _id_deninger_log_cos(t, cfg):
-    lhs = _log_cos_s1_closed(t, cfg)
-    c = euler_gamma(cfg) + log_two_pi()
-    rhs = ((hurwitz_zeta_deriv(2, 0, t, cfg)
-            + hurwitz_zeta_deriv(2, 0, 1 - t, cfg)) / 2
+def _id_deninger_log_cos(t):
+    lhs = _log_cos_s1_closed(t)
+    c = euler_gamma() + log_two_pi()
+    rhs = ((hurwitz_zeta_deriv(2, 0, t)
+            + hurwitz_zeta_deriv(2, 0, 1 - t)) / 2
            + c * mp.log(2 * mp.sinpi(t)))
     notes = ("lhs: log-weighted cosine series closed form from the s=1 "
              "derivative of the cosine expansion (zeta'(1-2n) values); "
@@ -239,17 +237,17 @@ def _id_deninger_log_cos(t, cfg):
     return [("", lhs, rhs)], notes
 
 
-def _id_zeta_dd_fourier(t, cfg):
-    lhs = hurwitz_zeta_deriv(2, 0, t, cfg)
-    c = euler_gamma(cfg) + log_two_pi()
-    a_sin_log2 = abel_oracle(SeriesSpec("sin", t, 1, weight="log2"), cfg).value
-    a_sin_log = abel_oracle(SeriesSpec("sin", t, 1, weight="log"), cfg).value
-    a_sin = abel_oracle(SeriesSpec("sin", t, 1), cfg).value
-    a_cos_log = abel_oracle(SeriesSpec("cos", t, 1, weight="log"), cfg).value
-    a_cos = abel_oracle(SeriesSpec("cos", t, 1), cfg).value
+def _id_zeta_dd_fourier(t):
+    lhs = hurwitz_zeta_deriv(2, 0, t)
+    c = euler_gamma() + log_two_pi()
+    a_sin_log2 = abel_oracle(SeriesSpec("sin", t, 1, weight="log2")).value
+    a_sin_log = abel_oracle(SeriesSpec("sin", t, 1, weight="log")).value
+    a_sin = abel_oracle(SeriesSpec("sin", t, 1)).value
+    a_cos_log = abel_oracle(SeriesSpec("cos", t, 1, weight="log")).value
+    a_cos = abel_oracle(SeriesSpec("cos", t, 1)).value
     base = ((a_sin_log2 + 2 * c * a_sin_log + c * c * a_sin) / mp.pi
             + c * a_cos + a_cos_log)
-    z2 = riemann_zeta(2, cfg)
+    z2 = riemann_zeta(2)
     rhs_printed = base - z2 / 4 * a_sin / mp.pi
     rhs_half = base - z2 / 2 * a_sin / mp.pi
     notes = ("lhs: zeta''(0,t) by Euler-Maclaurin; rhs: the printed Fourier "
@@ -263,16 +261,16 @@ def _id_zeta_dd_fourier(t, cfg):
     return [("", lhs, rhs_printed)], notes
 
 
-def _id_log_cos_limit(x, cfg):
-    lhs = 2 * log_cos_limit_series(x, cfg)
-    g = euler_gamma(cfg)
-    rhs = digamma(x, cfg) + mp.pi / 2 * _cot_pi(x) + g + log_two_pi()
+def _id_log_cos_limit(x):
+    lhs = 2 * log_cos_limit_series(x)
+    g = euler_gamma()
+    rhs = digamma(x) + mp.pi / 2 * _cot_pi(x) + g + log_two_pi()
     notes = ("lhs: odd-zeta power series route -1/(2x)+log 2pi-sum "
              "zeta(2n+1)x^{2n}; rhs: digamma/cotangent closed form")
     return [("", lhs, rhs)], notes
 
 
-def _log_sin_s1_closed(t, cfg):
+def _log_sin_s1_closed(t):
     """sum_n log n sin(2 pi n t)/n from the s=1 derivative of the sine
     closed form (regular there): -(pi/2)(gamma + log 2 pi t) - zeta'(-2n) tail."""
     sign = mpf(1)
@@ -281,17 +279,17 @@ def _log_sin_s1_closed(t, cfg):
     w = 2 * mp.pi * t
 
     def term(n):
-        zp = (zeta_prime_at_zero(cfg) if n == 0
-              else zeta_sderiv_at_negatives(2 * n, cfg))
+        zp = (zeta_prime_at_zero() if n == 0
+              else zeta_sderiv_at_negatives(2 * n))
         return (-1) ** n * zp * mp.power(w, 2 * n + 1) / mp.factorial(2 * n + 1)
-    T, _ = sum_entire(term, cfg)
-    return sign * (-mp.pi / 2 * (euler_gamma(cfg) + mp.log(w)) - T)
+    T, _ = sum_entire(term)
+    return sign * (-mp.pi / 2 * (euler_gamma() + mp.log(w)) - T)
 
 
-def _id_kummer_log_sin(t, cfg):
-    lhs = _log_sin_s1_closed(t, cfg)
-    c = euler_gamma(cfg) + log_two_pi()
-    rhs = (mp.pi / 2 * (loggamma(t, cfg) - loggamma(1 - t, cfg))
+def _id_kummer_log_sin(t):
+    lhs = _log_sin_s1_closed(t)
+    c = euler_gamma() + log_two_pi()
+    rhs = (mp.pi / 2 * (loggamma(t) - loggamma(1 - t))
            + c * mp.pi * (t - mpf(1) / 2))
     notes = ("lhs: log-weighted sine series closed form via zeta'(-even) "
              "values; rhs: log-gamma reflection difference from mpmath's "
@@ -299,11 +297,11 @@ def _id_kummer_log_sin(t, cfg):
     return [("", lhs, rhs)], notes
 
 
-def _id_even_exponent_sin(x, cfg):
+def _id_even_exponent_sin(x):
     subs = []
     for m in (1, 2):
-        v = integer_sin_series(x, 2 * m, cfg)
-        d = direct_oracle(SeriesSpec("sin", x, 2 * m), 4 * 10 ** 4, cfg)
+        v = integer_sin_series(x, 2 * m)
+        d = direct_oracle(SeriesSpec("sin", x, 2 * m), 4 * 10 ** 4)
         subs.append((f"m={m}", v.value, d.value))
     notes = ("lhs: even-exponent closed form (log/digamma head plus zeta "
              "tails); rhs: Cesaro-averaged direct summation")
@@ -313,12 +311,12 @@ def _id_even_exponent_sin(x, cfg):
 _ADAMCHIK_PHASES = {0: mpc(1, 0), 1: mpc(0, -1), 2: mpc(-1, 0), 3: mpc(0, 1)}
 
 
-def _id_adamchik_reflection(x, cfg):
+def _id_adamchik_reflection(x):
     subs = []
     for m in (1, 2, 3):
-        lhs = (hurwitz_zeta_deriv(1, -m, x, cfg)
-               + (-1) ** m * hurwitz_zeta_deriv(1, -m, 1 - x, cfg))
-        re_li, im_li = polylog_unimodular(m + 1, x, cfg)
+        lhs = (hurwitz_zeta_deriv(1, -m, x)
+               + (-1) ** m * hurwitz_zeta_deriv(1, -m, 1 - x))
+        re_li, im_li = polylog_unimodular(m + 1, x)
         phase = _ADAMCHIK_PHASES[m % 4]
         T = phase * mp.factorial(m) / (2 * mp.pi) ** m * mpc(re_li, im_li)
         b = poly_eval(bernoulli_poly_coeffs(m + 1), x)
@@ -331,20 +329,20 @@ def _id_adamchik_reflection(x, cfg):
     return subs, notes
 
 
-def _id_alt_log_harmonic(_, cfg):
+def _id_alt_log_harmonic(_):
     # (-1)^{n+1} log n / n  ==  -(cos series with log weight at x = 1/2, s = 1)
-    a = abel_oracle(SeriesSpec("cos", mpf(1) / 2, 1, weight="log"), cfg)
+    a = abel_oracle(SeriesSpec("cos", mpf(1) / 2, 1, weight="log"))
     lhs = -a.value
     ln2 = mp.log(2)
-    rhs = ln2 ** 2 / 2 - euler_gamma(cfg) * ln2
+    rhs = ln2 ** 2 / 2 - euler_gamma() * ln2
     notes = ("lhs: Abel-summed alternating log-harmonic series (cosine "
              "kernel at x=1/2); rhs: log^2(2)/2 - gamma log 2")
     return [("", lhs, rhs)], notes
 
 
-def _id_phi_gamma1_bridge(x, cfg):
-    lhs = phi_ramanujan(x - 1, cfg) - phi_ramanujan(-x, cfg)
-    rhs = stieltjes_gamma1(1 - x, cfg) - stieltjes_gamma1(x, cfg)
+def _id_phi_gamma1_bridge(x):
+    lhs = phi_ramanujan(x - 1) - phi_ramanujan(-x)
+    rhs = stieltjes_gamma1(1 - x) - stieltjes_gamma1(x)
     notes = ("lhs: phi by direct summation with Euler-Maclaurin tail; "
              "rhs: gamma1 from the Laurent structure of the "
              "Euler-Maclaurin formula")
@@ -367,8 +365,8 @@ class IdentityDef:
             return True
         if not (0 < x < 1):
             return False
-        if self.domain_note == "x<0.45":
-            return x < mpf("0.45")
+        if self.domain_note == "x != 1/2":
+            return x != mpf(1) / 2
         return True
 
 
@@ -377,7 +375,7 @@ REGISTRY: dict[str, IdentityDef] = {
     "cot_limit": IdentityDef("1e-10", "x", _id_cot_limit),
     "cos_limit": IdentityDef("1e-10", "x", _id_cos_limit),
     "alt_cos_limit": IdentityDef("1e-10", "x", _id_alt_cos_limit),
-    "alt_sin_limit": IdentityDef("1e-10", "x", _id_alt_sin_limit, "x<0.45"),
+    "alt_sin_limit": IdentityDef("1e-10", "x", _id_alt_sin_limit, "x != 1/2"),
     "bernoulli_odd": IdentityDef("0", "int", _id_bernoulli_odd),
     "half_point_value": IdentityDef("1e-10", "none", _id_half_point_value),
     "deninger_log_cos": IdentityDef("1e-8", "x", _id_deninger_log_cos),
@@ -402,7 +400,6 @@ def verify_identity(name: str, point=None,
     point is the integer m for bernoulli_odd, ignored for the
     point-independent identities, and x in (0,1) otherwise.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if name not in REGISTRY:
         raise UnknownIdentityError(
             f"unknown identity {name!r}; valid names: {_registry_names()}")
@@ -419,16 +416,16 @@ def verify_identity(name: str, point=None,
                     f"point {mp.nstr(x, 8)} outside the domain of {name}"
                     + (f" ({defn.domain_note})" if defn.domain_note else ""))
             inputs = [("x", x)]
-            subs, notes = defn.evaluate(x, cfg)
+            subs, notes = defn.evaluate(x)
         elif defn.point_kind == "int":
             m = None if point is None else int(point)
             if m is not None and not (0 <= m <= 20):
                 raise DomainError(f"{name} expects integer m <= 20")
             if m is not None:
                 inputs = [("m", xreal(m))]
-            subs, notes = defn.evaluate(m, cfg)
+            subs, notes = defn.evaluate(m)
         else:
-            subs, notes = defn.evaluate(None, cfg)
+            subs, notes = defn.evaluate(None)
         worst = None
         for label, lhs, rhs in subs:
             res = abs(lhs - rhs)
@@ -460,7 +457,6 @@ def run_suite(names, grid, cfg: EvalConfig | None = None) -> list[IdentityReport
     by name, then point. Evaluation errors become failed reports rather
     than aborting the suite.
     """
-    cfg = cfg or DEFAULT_CONFIG
     for name in names:
         if name not in REGISTRY:
             raise UnknownIdentityError(
@@ -477,12 +473,12 @@ def run_suite(names, grid, cfg: EvalConfig | None = None) -> list[IdentityReport
         for name in sorted(set(names)):
             defn = REGISTRY[name]
             if defn.point_kind != "x":
-                reports.append(_safe_verify(name, None, cfg))
+                reports.append(_safe_verify(name, None))
                 continue
             for p in pts:
                 if not defn.in_domain(p):
                     continue
-                rep = _safe_verify(name, p, cfg)
+                rep = _safe_verify(name, p)
                 if min(p, 1 - p) < mpf("1e-2"):
                     rep.method_notes += ("; warning: point within 1e-2 of an "
                                          "interval endpoint")
@@ -490,9 +486,9 @@ def run_suite(names, grid, cfg: EvalConfig | None = None) -> list[IdentityReport
         return reports
 
 
-def _safe_verify(name: str, point, cfg: EvalConfig) -> IdentityReport:
+def _safe_verify(name: str, point) -> IdentityReport:
     try:
-        return verify_identity(name, point, cfg)
+        return verify_identity(name, point)
     except Exception as exc:  # spec: propagate per-point errors into reports
         nan = mpf("nan")
         return IdentityReport(

@@ -10,8 +10,11 @@ from typing import Callable, Sequence
 
 from mpmath import mp, mpf
 
-from .config import DEFAULT_CONFIG, EvalConfig, tolerance, workprec, xreal
+from .config import EvalConfig, tolerance, workprec, xreal
 from .errors import ArityError, ConvergenceError, DomainError
+
+# Terms either summer may take before it raises ConvergenceError.
+MAX_TERMS = 10**6
 
 
 def sum_entire(term: Callable[[int], mpf], cfg: EvalConfig | None = None):
@@ -21,17 +24,16 @@ def sum_entire(term: Callable[[int], mpf], cfg: EvalConfig | None = None):
     (parity-masked zero terms from sin/cos must not halt summation early).
     Returns (compensated sum, terms_used).
     """
-    cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
-        stop = tolerance(cfg) / 100
+        stop = tolerance() / 100
         acc = mpf(0)
         comp = mpf(0)  # Kahan compensation
         small = 0
         n = 0
         while small < 3:
-            if n >= cfg.max_terms:
+            if n >= MAX_TERMS:
                 raise ConvergenceError(
-                    f"series did not decay within {cfg.max_terms} terms")
+                    f"series did not decay within {MAX_TERMS} terms")
             t = term(n)
             y = t - comp
             s = acc + y
@@ -70,8 +72,7 @@ def richardson_extrapolate(samples: Sequence[tuple], order: int):
     return +value, abs(value - prev_last)
 
 
-def sum_oscillatory(g: Callable[[int], mpf], z, tol, start: int = 1,
-                    max_terms: int = 10**6):
+def sum_oscillatory(g: Callable[[int], mpf], z, tol, start: int = 1):
     """sum_{n>=start} g(n) z^n for |z| <= 1, z != 1, g smooth and slowly varying.
 
     Direct head summation up to a split point N, then the forward-difference
@@ -99,8 +100,8 @@ def sum_oscillatory(g: Callable[[int], mpf], z, tol, start: int = 1,
 
     while True:
         split = n + headlen
-        if terms_used + headlen + max_diffs > max_terms:
-            raise ConvergenceError("oscillatory sum exceeded max_terms")
+        if terms_used + headlen + max_diffs > MAX_TERMS:
+            raise ConvergenceError("oscillatory sum exceeded MAX_TERMS")
         while n < split:
             head += g(n) * zpow
             zpow *= z

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from mpmath import mp, mpf
 
 from .bernoulli import bernoulli_poly_coeffs, poly_eval
-from .config import DEFAULT_CONFIG, EvalConfig, tolerance, workprec, xreal
+from .config import EvalConfig, tolerance, workprec, xreal
 from .errors import (CapabilityError, ConvergenceError, DomainError,
                      PoleError, PrecisionLossWarning, RedirectError)
 from .gammafn import digamma, gamma_fn
@@ -106,7 +106,7 @@ def _half_shift(kernel: str, x: mpf):
     return half - x, (mpf(1) if kernel == "sin" else mpf(-1))
 
 
-def _half_point_value(kernel: str, weight: str, s: mpf, cfg: EvalConfig) -> mpf:
+def _half_point_value(kernel: str, weight: str, s: mpf) -> mpf:
     """The alternating series at x = 1/2, where the shift would land on 0.
 
     Every sine term vanishes; the cosine terms are -w(n)/n^s, continued to
@@ -118,37 +118,37 @@ def _half_point_value(kernel: str, weight: str, s: mpf, cfg: EvalConfig) -> mpf:
     if s == 1:
         raise PoleError("alternating cos series at x = 1/2 diverges at s = 1")
     if weight == "unit":
-        return -riemann_zeta(s, cfg)
+        return -riemann_zeta(s)
     if weight == "log":
-        return hurwitz_zeta_deriv(1, s, 1, cfg)
-    return -hurwitz_zeta_deriv(2, s, 1, cfg)
+        return hurwitz_zeta_deriv(1, s, 1)
+    return -hurwitz_zeta_deriv(2, s, 1)
 
 
 # --------------------------------------------------------------------------
 # Closed forms of the plain series
 # --------------------------------------------------------------------------
 
-def _plain_tail(kernel: str, x: mpf, s: mpf, cfg: EvalConfig):
+def _plain_tail(kernel: str, x: mpf, s: mpf):
     """sum_n (-1)^n zeta(s-2n-1) w^{2n+1}/(2n+1)!  (sin)
        sum_n (-1)^n zeta(s-2n)   w^{2n}/(2n)!      (cos),  w = 2 pi x."""
     w = 2 * mp.pi * x
 
     if kernel == "sin":
         def term(n):
-            return ((-1) ** n * riemann_zeta(s - 2 * n - 1, cfg)
+            return ((-1) ** n * riemann_zeta(s - 2 * n - 1)
                     * mp.power(w, 2 * n + 1) / mp.factorial(2 * n + 1))
     else:
         def term(n):
-            return ((-1) ** n * riemann_zeta(s - 2 * n, cfg)
+            return ((-1) ** n * riemann_zeta(s - 2 * n)
                     * mp.power(w, 2 * n) / mp.factorial(2 * n))
-    return sum_entire(term, cfg)
+    return sum_entire(term)
 
 
-def _prefactor(kernel: str, x: mpf, s: mpf, cfg: EvalConfig) -> mpf:
+def _prefactor(kernel: str, x: mpf, s: mpf) -> mpf:
     """pi w^{s-1} / (2 Gamma(s) trig(pi s/2)), w = 2 pi x."""
     trig = mp.sin if kernel == "sin" else mp.cos
     return (mp.pi * mp.power(2 * mp.pi * x, s - 1)
-            / (2 * gamma_fn(s, cfg) * trig(mp.pi * s / 2)))
+            / (2 * gamma_fn(s) * trig(mp.pi * s / 2)))
 
 
 def _parity_distance(kernel: str, s: mpf):
@@ -166,17 +166,17 @@ def _integer_branch(kernel: str, s: mpf):
     return integer_sin_series if kernel == "sin" else integer_cos_series
 
 
-def _plain_limit(kernel: str, weight: str, x: mpf, cfg: EvalConfig) -> RegularizedValue:
+def _plain_limit(kernel: str, weight: str, x: mpf) -> RegularizedValue:
     """s -> 0 limits of the plain series for unit and log weights."""
-    tol = tolerance(cfg)
+    tol = tolerance()
     if kernel == "cos" and weight == "unit":
         # zeta(-2n) = 0 for n >= 1; only zeta(0) = -1/2 survives.
         return RegularizedValue(mpf(-1) / 2, "closed_form", +tol, 1)
     if kernel == "cos":
-        g = euler_gamma(cfg)
-        v = (digamma(x, cfg) + mp.pi / 2 * mp.cospi(x) / mp.sinpi(x)
+        g = euler_gamma()
+        v = (digamma(x) + mp.pi / 2 * mp.cospi(x) / mp.sinpi(x)
              + g + log_two_pi()) / 2
-        series = log_cos_limit_series(x, cfg)
+        series = log_cos_limit_series(x)
         return RegularizedValue(+v, "closed_form",
                                 +max(tol, abs(v - series)), 0)
     x, sign = _mirror(kernel, x)
@@ -186,29 +186,28 @@ def _plain_limit(kernel: str, weight: str, x: mpf, cfg: EvalConfig) -> Regulariz
         head = 1 / w
 
         def term(n):
-            return ((-1) ** n * riemann_zeta(-2 * n - 1, cfg)
+            return ((-1) ** n * riemann_zeta(-2 * n - 1)
                     * mp.power(w, 2 * n + 1) / mp.factorial(2 * n + 1))
     else:
-        head = -(euler_gamma(cfg) + mp.log(w)) / w
+        head = -(euler_gamma() + mp.log(w)) / w
 
         def term(n):
-            return ((-1) ** (n + 1) * zeta_sderiv_at_negatives(2 * n + 1, cfg)
+            return ((-1) ** (n + 1) * zeta_sderiv_at_negatives(2 * n + 1)
                     * mp.power(w, 2 * n + 1) / mp.factorial(2 * n + 1))
-    tail, n = sum_entire(term, cfg)
+    tail, n = sum_entire(term)
     return RegularizedValue(+(sign * (head + tail)), "closed_form", +tol, n)
 
 
-def _plain_value(kernel: str, weight: str, x: mpf, s: mpf,
-                 cfg: EvalConfig) -> RegularizedValue:
+def _plain_value(kernel: str, weight: str, x: mpf, s: mpf) -> RegularizedValue:
     """The plain series' one closed-form family: the s -> 0 limit, the
     integer branch where the prefactor is singular, else prefactor plus
     zeta tail at the mirrored x."""
     if s == 0:
-        return _plain_limit(kernel, weight, x, cfg)
+        return _plain_limit(kernel, weight, x)
     branch = _integer_branch(kernel, s)
     if branch is not None:
-        return branch(x, int(s), cfg)
-    err = tolerance(cfg)
+        return branch(x, int(s))
+    err = tolerance()
     dist = _parity_distance(kernel, s)
     if dist < mpf("1e-3"):
         warnings.warn(
@@ -217,23 +216,23 @@ def _plain_value(kernel: str, weight: str, x: mpf, s: mpf,
             PrecisionLossWarning)
         err = err / dist
     x, sign = _mirror(kernel, x)
-    tail, n = _plain_tail(kernel, x, s, cfg)
-    value = sign * (_prefactor(kernel, x, s, cfg) + tail)
+    tail, n = _plain_tail(kernel, x, s)
+    value = sign * (_prefactor(kernel, x, s) + tail)
     return RegularizedValue(+value, "closed_form", +err, n)
 
 
-def _closed_form(spec: SeriesSpec, cfg: EvalConfig) -> RegularizedValue:
+def _closed_form(spec: SeriesSpec) -> RegularizedValue:
     """Any spec the closed forms cover, alternating ones through the
     half-period shift. Runs inside the caller's working precision."""
     x = xreal(spec.x)
     s = xreal(spec.s)
     if not spec.alternating:
-        return _plain_value(spec.kernel, spec.weight, x, s, cfg)
+        return _plain_value(spec.kernel, spec.weight, x, s)
     if x == mpf(1) / 2:
-        v = _half_point_value(spec.kernel, spec.weight, s, cfg)
-        return RegularizedValue(+v, "closed_form", +tolerance(cfg), 0)
+        v = _half_point_value(spec.kernel, spec.weight, s)
+        return RegularizedValue(+v, "closed_form", +tolerance(), 0)
     xs, sign = _half_shift(spec.kernel, x)
-    rv = _plain_value(spec.kernel, spec.weight, xs, s, cfg)
+    rv = _plain_value(spec.kernel, spec.weight, xs, s)
     return replace(rv, value=+(sign * rv.value))
 
 
@@ -245,7 +244,6 @@ def closed_form_series(spec: SeriesSpec, cfg: EvalConfig | None = None) -> Regul
     at odd s) redirect to the integer branches, which alternating series
     reach through the shift; s = 0 redirects to regularized_limit.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if spec.weight != "unit":
         raise CapabilityError("closed_form_series handles unit weight only")
     with workprec(cfg):
@@ -258,7 +256,7 @@ def closed_form_series(spec: SeriesSpec, cfg: EvalConfig | None = None) -> Regul
             raise RedirectError(
                 f"{spec.kernel} prefactor singular at s = {int(s)}; "
                 f"use {branch.__name__}", branch=branch.__name__)
-        return _closed_form(spec, cfg)
+        return _closed_form(spec)
 
 
 # --------------------------------------------------------------------------
@@ -270,19 +268,18 @@ def log_cos_limit_series(x, cfg: EvalConfig | None = None) -> mpf:
 
         -1/(4x) + log(2 pi)/2 - (1/2) sum_{n>=1} zeta(2n+1) x^{2n}
     """
-    cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
         x = xreal(x)
         if not (0 < x < 1):
             raise DomainError("x must lie in (0, 1)")
         x, _ = _mirror("cos", x)
-        stop = tolerance(cfg) / 100
+        stop = tolerance() / 100
         acc = mpf(0)
         x2 = x * x
         pw = x2
         n = 1
         while True:
-            term = riemann_zeta(2 * n + 1, cfg) * pw
+            term = riemann_zeta(2 * n + 1) * pw
             acc += term
             if term < stop:
                 break
@@ -300,7 +297,6 @@ def regularized_limit(spec: SeriesSpec, cfg: EvalConfig | None = None) -> Regula
     forms. An alternating series is the plain one shifted by half a period
     (alt-sin/unit -> tan(pi x)/2, alt-cos/unit -> 1/2).
     """
-    cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
         if xreal(spec.s) != 0:
             raise DomainError("regularized_limit requires s = 0")
@@ -308,7 +304,7 @@ def regularized_limit(spec: SeriesSpec, cfg: EvalConfig | None = None) -> Regula
             raise CapabilityError(
                 f"no regularized limit for kernel={spec.kernel}, "
                 f"alternating={spec.alternating}, weight=log2")
-        return _closed_form(spec, cfg)
+        return _closed_form(spec)
 
 
 # --------------------------------------------------------------------------
@@ -324,7 +320,6 @@ def integer_sin_series(x, s: int, cfg: EvalConfig | None = None) -> RegularizedV
         (-1)^m w^{2m-1}/(2m-1)! * [log w - psi(2m) - gamma]
         + the finite and infinite zeta tails  (w = 2 pi x).
     """
-    cfg = cfg or DEFAULT_CONFIG
     if s != int(s):
         raise DomainError("integer_sin_series requires integer s")
     s = int(s)
@@ -337,7 +332,7 @@ def integer_sin_series(x, s: int, cfg: EvalConfig | None = None) -> RegularizedV
         x = xreal(x)
         if not (0 < x < 1):
             raise DomainError("x must lie strictly inside (0, 1)")
-        tol = tolerance(cfg)
+        tol = tolerance()
         if s % 2 == 1:
             m = (s - 1) // 2
             coeffs = bernoulli_poly_coeffs(2 * m + 1)
@@ -347,19 +342,19 @@ def integer_sin_series(x, s: int, cfg: EvalConfig | None = None) -> RegularizedV
         m = s // 2
         x, sign = _mirror("sin", x)
         w = 2 * mp.pi * x
-        g = euler_gamma(cfg)
+        g = euler_gamma()
         head = ((-1) ** m * mp.power(w, 2 * m - 1) / mp.factorial(2 * m - 1)
-                * (mp.log(w) - digamma(2 * m, cfg) - g))
+                * (mp.log(w) - digamma(2 * m) - g))
         fin = mpf(0)
         for n in range(0, m - 1):
-            fin += ((-1) ** n * riemann_zeta(2 * m - 2 * n - 1, cfg)
+            fin += ((-1) ** n * riemann_zeta(2 * m - 2 * n - 1)
                     * mp.power(w, 2 * n + 1) / mp.factorial(2 * n + 1))
 
         def term(i):
             n = m + i
-            return ((-1) ** n * riemann_zeta(-2 * i - 1, cfg)
+            return ((-1) ** n * riemann_zeta(-2 * i - 1)
                     * mp.power(w, 2 * n + 1) / mp.factorial(2 * n + 1))
-        tail, nterms = sum_entire(term, cfg)
+        tail, nterms = sum_entire(term)
         return RegularizedValue(+(sign * (head + fin + tail)),
                                 "integer_branch", +tol, nterms)
 
@@ -372,7 +367,6 @@ def integer_cos_series(x, s: int, cfg: EvalConfig | None = None) -> RegularizedV
 
     For m = 1 this reduces to -log(2 sin pi x).
     """
-    cfg = cfg or DEFAULT_CONFIG
     if s != int(s):
         raise DomainError("integer_cos_series requires integer s")
     s = int(s)
@@ -385,12 +379,12 @@ def integer_cos_series(x, s: int, cfg: EvalConfig | None = None) -> RegularizedV
         if not (0 < x < 1):
             raise DomainError("x must lie strictly inside (0, 1)")
         m = (s + 1) // 2
-        tol = tolerance(cfg)
+        tol = tolerance()
         sarg = 2 - 2 * m
         val = ((-1) ** m * (2 * mp.pi) ** (2 * m - 2) / mp.factorial(2 * m - 2)
                * (mp.power(x, 2 * m - 2) * mp.log(x)
-                  - hurwitz_zeta_deriv(1, sarg, 1 - x, cfg)
-                  - hurwitz_zeta_deriv(1, sarg, 1 + x, cfg)))
+                  - hurwitz_zeta_deriv(1, sarg, 1 - x)
+                  - hurwitz_zeta_deriv(1, sarg, 1 + x)))
         return RegularizedValue(+val, "integer_branch", +tol, 0)
 
 
@@ -404,10 +398,11 @@ def abel_oracle(spec: SeriesSpec, cfg: EvalConfig | None = None) -> RegularizedV
 
     Independent of every closed form: each Abel sum is an absolutely
     convergent series evaluated by head summation plus the
-    forward-difference transform of its tail (to below tolerance/10), and the
-    limit is taken by Richardson extrapolation.
+    forward-difference transform of its tail (to below tolerance/20), and
+    the limit is taken by Richardson extrapolation. The error estimate is
+    the extrapolation's own plus ten times that tail allowance, so half the
+    tolerance is left to the extrapolation.
     """
-    cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
         x = xreal(spec.x)
         s = xreal(spec.s)
@@ -430,7 +425,7 @@ def abel_oracle(spec: SeriesSpec, cfg: EvalConfig | None = None) -> RegularizedV
         else:
             g = (lambda n: wfn(n) * mp.power(n, -s))
         z0 = mp.expjpi(2 * x)
-        tol = tolerance(cfg) / 10
+        tol = tolerance() / 20
         samples = []
         total = 0
         for i in range(ABEL_R_LEVELS + 1):
@@ -439,8 +434,7 @@ def abel_oracle(spec: SeriesSpec, cfg: EvalConfig | None = None) -> RegularizedV
             z = (1 - h) * z0
             if spec.alternating:
                 z = -z
-            val, used = sum_oscillatory(g, z, tol, start=1,
-                                        max_terms=cfg.max_terms)
+            val, used = sum_oscillatory(g, z, tol, start=1)
             total += used
             comp = val.imag if spec.kernel == "sin" else val.real
             if spec.alternating:
@@ -461,7 +455,6 @@ def direct_oracle(spec: SeriesSpec, N: int, cfg: EvalConfig | None = None) -> Re
     test) and absolutely for s > 1; the error estimate reflects the O(N^-s)
     tail scale.
     """
-    cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
         x = xreal(spec.x)
         s = xreal(spec.s)
@@ -505,20 +498,27 @@ def direct_oracle(spec: SeriesSpec, N: int, cfg: EvalConfig | None = None) -> Re
 # --------------------------------------------------------------------------
 
 def evaluate_series(spec: SeriesSpec, cfg: EvalConfig | None = None) -> RegularizedValue:
-    """Route a spec to the branch the exponent/weight calls for."""
-    cfg = cfg or DEFAULT_CONFIG
+    """Route a spec to the branch the exponent/weight calls for; warn
+    PrecisionLossWarning where the Abel route misses tolerance(cfg)."""
     with workprec(cfg):
         s = xreal(spec.s)
         if s == 0:
-            return regularized_limit(spec, cfg)
+            return regularized_limit(spec)
         if spec.weight != "unit":
             # with log weights at s > 0 only the alternating series at
             # x = 1/2 has a closed form (a zeta derivative); elsewhere Abel
             # summation is still well-defined
             if spec.alternating and xreal(spec.x) == mpf(1) / 2:
-                return _closed_form(spec, cfg)
-            return abel_oracle(spec, cfg)
+                return _closed_form(spec)
+            rv = abel_oracle(spec)
+            tol = tolerance()
+            if rv.error_estimate > tol:
+                warnings.warn(
+                    f"Abel error estimate {mp.nstr(rv.error_estimate, 3)} "
+                    f"exceeds the tolerance {mp.nstr(tol, 3)}",
+                    PrecisionLossWarning)
+            return rv
         branch = None if spec.alternating else _integer_branch(spec.kernel, s)
         if branch is not None:
-            return branch(spec.x, int(s), cfg)
-        return closed_form_series(spec, cfg)
+            return branch(spec.x, int(s))
+        return closed_form_series(spec)

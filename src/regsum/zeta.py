@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .bernoulli import BERNOULLI_INDEX_CAP, bernoulli_number, harmonic_number
-from .config import DEFAULT_CONFIG, EvalConfig, cache_put, workprec, xreal
+from .config import EvalConfig, cache_put, workprec, xreal
 from .errors import ConvergenceError, DomainError, PoleError
 
 _LN10 = math.log(10.0)
@@ -254,7 +254,6 @@ _CONST_CACHE: dict[tuple, mpf] = {}
 
 def euler_gamma(cfg: EvalConfig | None = None) -> mpf:
     """Euler's constant, extracted from the Laurent machinery at a = 1."""
-    cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
         key = ("gamma", mp.dps)
         v = _CONST_CACHE.get(key)
@@ -321,7 +320,6 @@ def riemann_zeta(s, cfg: EvalConfig | None = None) -> mpf:
     routes for s <= 0, the Laurent expansion inside |s-1| < 0.1, Euler's
     even-integer formula for positive even s.
     """
-    cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
         s = xreal(s)
         if s == 1:
@@ -331,7 +329,6 @@ def riemann_zeta(s, cfg: EvalConfig | None = None) -> mpf:
 
 def eta(s, cfg: EvalConfig | None = None) -> mpf:
     """Dirichlet eta (1 - 2^{1-s}) zeta(s); entire, eta(1) = log 2."""
-    cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
         s = xreal(s)
         w = s - 1
@@ -368,7 +365,6 @@ def hurwitz_zeta_deriv(k: int, s, a, cfg: EvalConfig | None = None) -> mpf:
     """
     if k not in (0, 1, 2):
         raise DomainError("derivative order must be 0, 1 or 2")
-    cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
         s = xreal(s)
         a = xreal(a)
@@ -383,7 +379,6 @@ def hurwitz_zeta_deriv(k: int, s, a, cfg: EvalConfig | None = None) -> mpf:
 
 def zeta_prime_at_zero(cfg: EvalConfig | None = None) -> mpf:
     """zeta'(0) = -log(2 pi)/2."""
-    cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
         return -log_two_pi() / 2
 
@@ -400,7 +395,6 @@ def zeta_sderiv_at_negatives(j: int, cfg: EvalConfig | None = None) -> mpf:
     """
     if j < 1:
         raise DomainError("zeta_sderiv_at_negatives requires j >= 1")
-    cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
         key = (j, mp.dps)
         hit = _ZPN_CACHE.get(key)
@@ -416,7 +410,7 @@ def zeta_sderiv_at_negatives(j: int, cfg: EvalConfig | None = None) -> mpf:
             z, zp = _em_zeta_derivs(s2k, mpf(1), 1)
             h = xreal(harmonic_number(2 * k - 1))
             v = (xreal(bernoulli_number(2 * k)) / (2 * k)
-                 * (zp / z + h - euler_gamma(cfg) - log_two_pi()))
+                 * (zp / z + h - euler_gamma() - log_two_pi()))
         v = +v
         cache_put(_ZPN_CACHE, key, v)
         return v
@@ -438,7 +432,6 @@ class LaurentCoeffs:
 
 def laurent_coefficients(a, cfg: EvalConfig | None = None) -> LaurentCoeffs:
     """gamma_0(a) and gamma_1(a) with conservative error bounds."""
-    cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
         a = xreal(a)
         if a <= 0:
@@ -454,7 +447,6 @@ def stieltjes_gamma1(x, cfg: EvalConfig | None = None) -> mpf:
     -d/ds [zeta(s, x) - 1/(s-1)] at s = 1, read off the analytic Laurent
     structure of the Euler-Maclaurin formula.
     """
-    cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
         x = xreal(x)
         if x <= 0:
@@ -495,7 +487,6 @@ def stieltjes_gamma1_limit(x, cfg: EvalConfig | None = None,
     (Z = N+x), which is the asymptotic form the summation-by-parts
     corrections actually take; the constant term is the limit.
     """
-    cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
         x = xreal(x)
         if x <= 0:
@@ -528,7 +519,6 @@ def phi_ramanujan(x, cfg: EvalConfig | None = None) -> mpf:
     log^2 terms and f^{(k)}(t) = (a_k + b_k log t)/t^{k+1} with exact
     integer a_k, b_k.
     """
-    cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
         x = xreal(x)
         if x <= -1:
@@ -568,12 +558,11 @@ def stieltjes_integral(n: int, t, cfg: EvalConfig | None = None) -> mpf:
     """int_1^t gamma_n(x) dx = (-1)^{n+1}/(n+1) [zeta^{(n+1)}(0,t) - zeta^{(n+1)}(0)]."""
     if n not in (0, 1):
         raise DomainError("stieltjes_integral supports n in {0, 1}")
-    cfg = cfg or DEFAULT_CONFIG
     with workprec(cfg):
         t = xreal(t)
         if t <= 0:
             raise DomainError("stieltjes_integral requires t > 0")
         sign = mpf((-1) ** (n + 1)) / (n + 1)
-        d_t = hurwitz_zeta_deriv(n + 1, 0, t, cfg)
-        d_1 = hurwitz_zeta_deriv(n + 1, 0, 1, cfg)
+        d_t = hurwitz_zeta_deriv(n + 1, 0, t)
+        d_1 = hurwitz_zeta_deriv(n + 1, 0, 1)
         return +(sign * (d_t - d_1))

@@ -99,11 +99,11 @@ def test_criterion_05_deninger_and_kummer():
                                 CFG).value
             a_sin = abel_oracle(SeriesSpec("sin", t, 1, weight="log"),
                                 CFG).value
-            ok &= abs(a_cos - _log_cos_s1_closed(t, CFG)) <= mpf("1e-5")
-            ok &= abs(a_sin - _log_sin_s1_closed(t, CFG)) <= mpf("1e-5")
+            ok &= abs(a_cos - _log_cos_s1_closed(t)) <= mpf("1e-5")
+            ok &= abs(a_sin - _log_sin_s1_closed(t)) <= mpf("1e-5")
         half = mpf("0.5")
         ref = euler_gamma(CFG) * mp.log(2) - mp.log(2) ** 2 / 2
-        ok &= abs(_log_cos_s1_closed(half, CFG) - ref) <= mpf("1e-10")
+        ok &= abs(_log_cos_s1_closed(half) - ref) <= mpf("1e-10")
     _report(5, "log-weighted cosine/sine series match their closed forms "
                "(closed routes 1e-8, Abel oracle 1e-5, half-point exact "
                "reduction)", bool(ok))

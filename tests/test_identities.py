@@ -78,7 +78,7 @@ def test_point_requirements():
     with pytest.raises(DomainError):
         verify_identity("cot_limit", mpf("1.5"), CFG)
     with pytest.raises(DomainError):
-        verify_identity("alt_sin_limit", mpf("0.6"), CFG)
+        verify_identity("alt_sin_limit", mpf("0.5"), CFG)
     with pytest.raises(DomainError):
         verify_identity("bernoulli_odd", 21, CFG)
 
@@ -127,13 +127,13 @@ def test_suite_grid_validation():
 
 def test_suite_ordering_and_domain_filter():
     reports = run_suite(["cot_limit", "alt_sin_limit", "bernoulli_odd"],
-                        [mpf("0.3"), mpf("0.1"), mpf("0.7")], CFG)
+                        [mpf("0.3"), mpf("0.1"), mpf("0.5")], CFG)
     names = [r.identity_name for r in reports]
     assert names == (["alt_sin_limit"] * 2 + ["bernoulli_odd"]
                      + ["cot_limit"] * 3)
-    # alt_sin_limit applies only below 0.45
+    # alt_sin_limit skips x = 1/2, the pole of tan(pi x)
     pts = [r.inputs[0][1] for r in reports if r.identity_name == "alt_sin_limit"]
-    assert pts == sorted(pts) and all(p < mpf("0.45") for p in pts)
+    assert pts == sorted(pts) and all(p != mpf("0.5") for p in pts)
 
 
 def test_suite_near_endpoint_warning():
@@ -145,7 +145,7 @@ def test_suite_near_endpoint_warning():
 
 def test_suite_error_becomes_failed_report(monkeypatch):
     broken = identities_mod.IdentityDef(
-        "1e-10", "x", lambda x, cfg: (_ for _ in ()).throw(RuntimeError("boom")))
+        "1e-10", "x", lambda x: (_ for _ in ()).throw(RuntimeError("boom")))
     monkeypatch.setitem(identities_mod.REGISTRY, "cot_limit", broken)
     reports = run_suite(["cot_limit"], [mpf("0.3")], CFG)
     assert len(reports) == 1

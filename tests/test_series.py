@@ -1,6 +1,10 @@
 """Trigonometric series: closed forms, limits, integer branches, oracles."""
 
+import warnings
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from regsum import (CapabilityError, DEFAULT_CONFIG, DomainError, EvalConfig,
@@ -265,6 +269,46 @@ def test_precision_100_digits_zeta_and_closed_form():
         assert abs(cf.value - ref) < tolerance(cfg)
 
 
+# ----------------------- precision sweep of the routes --------------------
+
+# (digits, examples): the mpmath references dominate the time, ~2 s a case
+# at 140 digits and ~9 s at 240
+ROUTE_SWEEP = [(30, 30), (50, 20), (100, 8),
+               pytest.param(200, 4, marks=pytest.mark.slow)]
+
+
+def _clausen(kernel, s, x):
+    """sum_n trig(2 n pi x)/n^s from mpmath's Clausen functions."""
+    return (mp.clsin if kernel == "sin" else mp.clcos)(s, 2 * mp.pi * x)
+
+
+@pytest.mark.parametrize("digits,examples", ROUTE_SWEEP)
+def test_series_route_precision_sweep(digits, examples):
+    # x = j/256 and s = k/16 in [0, 6] are exact binary on both sides; they
+    # reach s = 0, both integer branches, and non-integer s at least 1/16
+    # from a parity-singular integer. Log weights go through Abel, which
+    # misses the tolerance above ~55 digits, so they are left out.
+    cfg = EvalConfig(digits)
+
+    @settings(max_examples=examples, deadline=None, derandomize=True,
+              database=None)
+    @given(j=st.integers(1, 255).filter(lambda j: j != 128),
+           k=st.integers(0, 96), kernel=st.sampled_from(("sin", "cos")),
+           alternating=st.booleans())
+    def check(j, k, kernel, alternating):
+        x, s = Fraction(j, 256), Fraction(k, 16)
+        rv = evaluate_series(SeriesSpec(kernel, x, s, alternating), cfg)
+        with mp.workdps(digits + 40):
+            xm, sm = mpf(j) / 256, mpf(k) / 16
+            # the alternating series is minus the plain one at x + 1/2
+            ref = (-_clausen(kernel, sm, xm + mpf(1) / 2) if alternating
+                   else _clausen(kernel, sm, xm))
+            err = abs(rv.value - ref) / max(1, abs(ref))
+        assert err <= tolerance(cfg), (rv.method, mp.nstr(err, 3))
+
+    check()
+
+
 # ----------------------------- integer branches ---------------------------
 
 def test_integer_sin_sawtooth():
@@ -332,6 +376,22 @@ def test_abel_alt_cos_limit():
         rv = abel_oracle(SeriesSpec("cos", mpf("0.42"), 0, alternating=True),
                          CFG)
         assert abs(rv.value - mpf(1) / 2) < mpf("1e-6")
+
+
+def test_abel_route_flags_a_missed_tolerance():
+    # the identities' oracle stays silent; evaluate_series flags the miss
+    spec = SeriesSpec("sin", Fraction(3, 10), Fraction(1, 2), weight="log")
+    cfg = EvalConfig(60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rv = abel_oracle(spec, cfg)
+    assert rv.error_estimate > tolerance(cfg)
+    with pytest.warns(PrecisionLossWarning, match="Abel"):
+        assert evaluate_series(spec, cfg).value == rv.value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rv = evaluate_series(spec, CFG)
+    assert rv.method == "abel" and rv.error_estimate <= tolerance(CFG)
 
 
 def test_direct_empty_sum():
