@@ -70,11 +70,6 @@ def poly_eval(coeffs, x):
     return acc
 
 
-def poly_derivative(coeffs):
-    """Degree-ascending coefficients of the derivative polynomial."""
-    return [k * c for k, c in enumerate(coeffs)][1:] or [Fraction(0)]
-
-
 def harmonic_number(n: int) -> Fraction:
     """H_n = 1 + 1/2 + ... + 1/n exactly; H_0 = 0."""
     if n < 0:

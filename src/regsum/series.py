@@ -273,18 +273,8 @@ def log_cos_limit_series(x, cfg: EvalConfig | None = None) -> mpf:
         if not (0 < x < 1):
             raise DomainError("x must lie in (0, 1)")
         x, _ = _mirror("cos", x)
-        stop = tolerance() / 100
-        acc = mpf(0)
-        x2 = x * x
-        pw = x2
-        n = 1
-        while True:
-            term = riemann_zeta(2 * n + 1) * pw
-            acc += term
-            if term < stop:
-                break
-            pw *= x2
-            n += 1
+        acc, _ = sum_entire(
+            lambda n: riemann_zeta(2 * n + 3) * x ** (2 * n + 2))
         return +(-1 / (4 * x) + log_two_pi() / 2 - acc / 2)
 
 

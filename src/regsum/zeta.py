@@ -7,16 +7,16 @@ The workhorse is the Euler-Maclaurin formula
                + sum_{j=1..M} B_{2j}/(2j)! * (s)_{2j-1} * (N+a)^{-s-2j+1} + R
 
 valid for all real s != 1 once M is large enough. Every term is elementary
-in s, so s-derivatives (up to second order) are obtained by differentiating
-termwise in closed form -- never by finite differences. The same formula
-expanded analytically about s = 1 yields the Laurent coefficients of
-zeta(s, a), i.e. the generalized Stieltjes constants; the 1/(s-1) pole
-separates exactly. Near s = 1 all evaluations switch to that expansion;
-every other s uses the formula (zeta(s) at s < 0 after the functional
-equation), with no direct Dirichlet sum.
+in s, so one function, _em_taylor, expands the whole formula as a Taylor
+series in t about s = s0 -- never by finite differences. Its coefficients
+give the s-derivatives of any order at s0 != 1 and, at s0 = 1 with the
+1/(s-1) pole separated exactly, the Laurent coefficients of zeta(s, a), i.e.
+the generalized Stieltjes constants. Near s = 1 all evaluations switch to
+that expansion; every other s uses the formula (zeta(s) at s < 0 after the
+functional equation), with no direct Dirichlet sum.
 
-The corrections cost O(M): (s)_{2j-1} and its s-derivatives advance by two
-linear factors per j, and B_{2j}/(2j)! is cached as an mpf. For each M the
+The corrections cost O(M K): the rising product (s0+t)_{2j-1} gains one
+quadratic factor per j, and B_{2j}/(2j)! is cached as an mpf. For each M the
 smallest N that pushes the first omitted correction, bounded through
 |B_{2j}|/(2j)! ~ 2/(2pi)^{2j}, below the working tolerance follows in
 closed form; the (N, M) of least cost wins. The omitted term itself is
@@ -104,8 +104,68 @@ def _beta(j: int) -> mpf:
     return v
 
 
+def _em_taylor(s0, a: mpf, K: int, N: int, M: int) -> list[mpf]:
+    """Taylor coefficients c_0..c_K of zeta(s0 + t, a) in t at the current
+    precision, less the pole 1/t when s0 = 1.
+
+    s0 is an mpf or an int; an int keeps the rising-product factors exact.
+
+    With Z = N + a the formula is the head
+    sum_{n<N} (n+a)^{-s0} e^{-t log(n+a)}, then S(t) Z^{-t} with
+    S(t) = Z^{-s0}/2 + sum_j B_{2j}/(2j)! (s0+t)_{2j-1} Z^{-s0-2j+1}, then
+    the integral term Z^{1-s0-t}/(s0-1+t), which is (Z^{-t} - 1)/t at
+    s0 = 1. Every series is truncated at t^K.
+    """
+    c = [mpf(0)] * (K + 1)
+    for n in range(N):
+        p = mp.power(n + a, -s0)
+        c[0] += p
+        if K:
+            L = mp.log(n + a)
+            for k in range(1, K + 1):
+                p *= -L / k
+                c[k] += p
+    Z = N + a
+    L = mp.log(Z)
+    E = [mpf(1)]  # Z^{-t} = sum_i E[i] t^i
+    for i in range(1, K + 2):
+        E.append(E[-1] * -L / i)
+    P = mp.exp(-s0 * L)  # Z^{-s0}
+    S = [P / 2] + [mpf(0)] * K
+    # R = (s0+t)_{2j-1} gains (m+t)(m+1+t), m = s0+2j-1, per j, updated in
+    # place up to its current degree and truncated at t^K
+    R = [mpf(s0), mpf(1)][:K + 1]
+    pw = P / Z  # Z^{-s0-2j+1} at j = 1
+    zm2 = 1 / (Z * Z)
+    for j in range(1, M + 1):
+        b = _beta(j) * pw
+        for k, r in enumerate(R):
+            S[k] += b * r
+        m = s0 + (2 * j - 1)
+        q0 = m * (m + 1)
+        if K:
+            q1 = 2 * m + 1
+            R += [mpf(0)] * min(2, K + 1 - len(R))
+            for k in range(len(R) - 1, 1, -1):
+                R[k] = q0 * R[k] + q1 * R[k - 1] + R[k - 2]
+            R[1] = q0 * R[1] + q1 * R[0]
+        R[0] *= q0
+        pw *= zm2
+    if s0 == 1:
+        f = E[1:]  # (Z^{-t} - 1)/t
+    else:
+        # f = Z^{1-s0} Z^{-t}/(w0 + t): w0 f_k + f_{k-1} = Z^{1-s0} E_k
+        w0, zp = s0 - 1, P * Z
+        f = [zp / w0]
+        for k in range(1, K + 1):
+            f.append((zp * E[k] - f[-1]) / w0)
+    for k in range(K + 1):
+        c[k] += f[k] + mp.fsum(S[i] * E[k - i] for i in range(k + 1))
+    return c
+
+
 def _em_zeta_derivs(s: mpf, a: mpf, kmax: int) -> list[mpf]:
-    """[zeta(s,a), zeta'(s,a), ..., up to kmax] at the current precision.
+    """[zeta(s,a), zeta'(s,a), ..., zeta^(kmax)(s,a)] at the current precision.
 
     Requires |s - 1| not tiny (the near-pole band is served by the Laurent
     route) and a > 0. For s < 0 the head terms grow to (N+a)^{-s} and
@@ -118,51 +178,8 @@ def _em_zeta_derivs(s: mpf, a: mpf, kmax: int) -> list[mpf]:
         digits += int(math.ceil(-sigma * math.log10(N + af))) + 2
         N, M = _em_params(sigma, af, kmax, digits)
     with mp.workdps(digits):
-        d = [mpf(0) for _ in range(kmax + 1)]
-        for n in range(N):
-            t = n + a
-            L = mp.log(t)
-            p = mp.exp(-s * L)
-            d[0] += p
-            if kmax >= 1:
-                d[1] -= L * p
-            if kmax >= 2:
-                d[2] += L * L * p
-        Z = N + a
-        L = mp.log(Z)
-        w = s - 1
-        E = mp.exp((1 - s) * L)  # Z^{1-s}
-        d[0] += E / w
-        if kmax >= 1:
-            d[1] -= E * (L / w + 1 / w**2)
-        if kmax >= 2:
-            d[2] += E * (L * L / w + 2 * L / w**2 + 2 / w**3)
-        P = mp.exp(-s * L)  # Z^{-s}
-        d[0] += P / 2
-        if kmax >= 1:
-            d[1] -= L * P / 2
-        if kmax >= 2:
-            d[2] += L * L * P / 2
-        # p0 = (s)_{2j-1}, p1 = p0', p2 = p0''; each j multiplies in
-        # (s+2j-1)(s+2j), differentiated by the product rule
-        p0, p1, p2 = s, mpf(1), mpf(0)
-        pw = P / Z  # Z^{-s-2j+1} at j=1
-        zm2 = 1 / (Z * Z)
-        for j in range(1, M + 1):
-            b = _beta(j) * pw
-            d[0] += b * p0
-            if kmax >= 1:
-                d[1] += b * (p1 - L * p0)
-            if kmax >= 2:
-                d[2] += b * (p2 - 2 * L * p1 + L * L * p0)
-            for q in (s + (2 * j - 1), s + 2 * j):
-                if kmax >= 2:
-                    p2 = p2 * q + 2 * p1
-                if kmax >= 1:
-                    p1 = p1 * q + p0
-                p0 = p0 * q
-            pw *= zm2
-    return [+v for v in d]
+        c = _em_taylor(s, a, kmax, N, M)
+    return [+(math.factorial(k) * v) for k, v in enumerate(c)]
 
 
 # --------------------------------------------------------------------------
@@ -182,59 +199,21 @@ def _laurent_wcoeffs(a: mpf, order: int) -> tuple[list[mpf], mpf]:
     hit = _LAURENT_CACHE.get(key)
     if hit is not None:
         return hit
-    K = order
-    digits = mp.dps
-    N, M = _em_params(1.0, float(a), 0, digits + 8)
-    c = [mpf(0) for _ in range(K + 1)]
-    for n in range(N):
-        t = n + a
-        Ln = mp.log(t)
-        p = 1 / t
-        c[0] += p
-        for k in range(1, K + 1):
-            p *= -Ln / k
-            c[k] += p
-    Z = N + a
-    L = mp.log(Z)
-    # Z^{-w} = sum_i E[i] w^i, E[i] = (-L)^i / i!
-    E = [mpf(1)]
-    for i in range(1, K + 2):
-        E.append(E[-1] * (-L) / i)
-    # S(w) Z^{-w} holds the half term Z^{-1-w}/2 and the corrections
-    # B_{2j}/(2j)! Z^{-2j} (1+w)(2+w)...(2j-1+w) Z^{-w}; the rising product
-    # R advances by two linear factors per j, truncated at w^K
-    S = [1 / (2 * Z)] + [mpf(0)] * K
-    R = [mpf(1), mpf(1)][:K + 1]
-    zm2 = 1 / (Z * Z)
-    zpow = zm2
-    for j in range(1, M + 1):
-        b = _beta(j) * zpow
-        for k, r in enumerate(R):
-            S[k] += b * r
-        for m in (2 * j, 2 * j + 1):  # R <- R (m + w)
-            top = R[-1:] if len(R) <= K else []
-            R = [m * R[0]] + [m * r + q for r, q in zip(R[1:], R)] + top
-        zpow *= zm2
-    # plus (Z^{-w} - 1)/w, the integral piece less the pole
-    for k in range(K + 1):
-        c[k] += E[k + 1] + mp.fsum(S[m] * E[k - m] for m in range(k + 1))
+    N, M = _em_params(1.0, float(a), 0, mp.dps + 8)
+    c = _em_taylor(1, a, order, N, M)
     # error bound from the first omitted correction term; the coefficients
     # of (1+w)...(2M+1+w) sum to its value at w = 1, (2M+2)!
-    bound = (abs(_beta(M + 1)) * mp.exp(-(2 * M + 2) * L)
+    bound = (abs(_beta(M + 1)) * mp.power(N + a, -(2 * M + 2))
              * mp.factorial(2 * M + 2) * 4)
     out = ([+v for v in c], +bound)
     cache_put(_LAURENT_CACHE, key, out)
     return out
 
 
-def _laurent_order() -> int:
-    return mp.dps + 16
-
-
 def _hurwitz_near_one(k: int, s: mpf, a: mpf) -> mpf:
     """zeta^{(k)}(s, a) for 0 < |s-1| < 0.1 via the Laurent expansion."""
     w = s - 1
-    c, _ = _laurent_wcoeffs(a, _laurent_order())
+    c, _ = _laurent_wcoeffs(a, mp.dps + 16)  # |w|^n < 0.1^n: dps + 16 terms
     # pole part: d^k/ds^k 1/(s-1) = (-1)^k k! / w^{k+1}
     val = (-1) ** k * mp.factorial(k) / w ** (k + 1)
     wpow = mpf(1)
@@ -331,36 +310,17 @@ def eta(s, cfg: EvalConfig | None = None) -> mpf:
     """Dirichlet eta (1 - 2^{1-s}) zeta(s); entire, eta(1) = log 2."""
     with workprec(cfg):
         s = xreal(s)
-        w = s - 1
-        if abs(w) < mpf("0.1"):
-            # (1 - 2^{-w}) has a simple zero cancelling the zeta pole:
-            # multiply the two expansions.
-            K = _laurent_order()
-            c, _ = _laurent_wcoeffs(mpf(1), K)
-            ln2 = mp.log(2)
-            # A_k = coefficient of w^k in 1 - 2^{-w} (A_0 = 0)
-            A = [mpf(0)]
-            t = mpf(1)
-            for k in range(1, K + 2):
-                t *= -ln2 / k
-                A.append(-t)
-            # eta = A(w)/w + A(w) * sum c_n w^n, truncated at w^K
-            val = mpf(0)
-            wpow = mpf(1)
-            for k in range(K + 1):
-                coef = A[k + 1]
-                for m in range(1, k + 1):
-                    coef += A[m] * c[k - m]
-                val += coef * wpow
-                wpow *= w
-            return +val
-        return +((1 - mp.power(2, 1 - s)) * _rz(s))
+        if s == 1:
+            return +mp.ln2
+        # -expm1 keeps the simple zero of 1 - 2^{1-s} exact, so the product
+        # with the zeta pole near s = 1 cancels nothing
+        return +(-mp.expm1((1 - s) * mp.ln2) * _rz(s))
 
 
 def hurwitz_zeta_deriv(k: int, s, a, cfg: EvalConfig | None = None) -> mpf:
     """d^k/ds^k zeta(s, a) for k in {0, 1, 2}, a > 0, s != 1.
 
-    Termwise-differentiated Euler-Maclaurin; Laurent expansion inside
+    Taylor coefficients of Euler-Maclaurin; Laurent expansion inside
     |s-1| < 0.1.
     """
     if k not in (0, 1, 2):
@@ -455,35 +415,17 @@ def stieltjes_gamma1(x, cfg: EvalConfig | None = None) -> mpf:
         return +(-c[1])
 
 
-def _solve_linear(A: list[list[mpf]], b: list[mpf]) -> list[mpf]:
-    """Gaussian elimination with partial pivoting (small systems)."""
-    n = len(A)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(M[r][col]))
-        if M[piv][col] == 0:
-            raise ConvergenceError("singular system in oracle fit")
-        M[col], M[piv] = M[piv], M[col]
-        for r in range(col + 1, n):
-            f = M[r][col] / M[col][col]
-            for cc in range(col, n + 1):
-                M[r][cc] -= f * M[col][cc]
-    x = [mpf(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = M[r][n]
-        for cc in range(r + 1, n):
-            acc -= M[r][cc] * x[cc]
-        x[r] = acc / M[r][r]
-    return x
+# Checkpoints of the limit oracle: N = _LIMIT_N0 * 2^i, i = 0.._LIMIT_LEVELS.
+_LIMIT_N0 = 320
+_LIMIT_LEVELS = 7
 
 
-def stieltjes_gamma1_limit(x, cfg: EvalConfig | None = None,
-                           n0: int = 320, levels: int = 7) -> mpf:
+def stieltjes_gamma1_limit(x, cfg: EvalConfig | None = None) -> mpf:
     """gamma_1(x) from the limit formula, reference/oracle route.
 
     gamma_1(x) = lim_N [ sum_{k=0}^{N} log(k+x)/(k+x) - log^2(N+x)/2 ].
-    Partial values at N = n0 * 2^i are fitted against the exact tail basis
-    {1, log Z/Z, log Z/Z^2, 1/Z^2, log Z/Z^4, 1/Z^4, log Z/Z^6, 1/Z^6}
+    Partial values at N = _LIMIT_N0 * 2^i are fitted against the exact tail
+    basis {1, log Z/Z, log Z/Z^2, 1/Z^2, log Z/Z^4, 1/Z^4, log Z/Z^6, 1/Z^6}
     (Z = N+x), which is the asymptotic form the summation-by-parts
     corrections actually take; the constant term is the limit.
     """
@@ -491,7 +433,7 @@ def stieltjes_gamma1_limit(x, cfg: EvalConfig | None = None,
         x = xreal(x)
         if x <= 0:
             raise DomainError("stieltjes_gamma1_limit requires x > 0")
-        checkpoints = [n0 * 2 ** i for i in range(levels + 1)]
+        checkpoints = [_LIMIT_N0 * 2 ** i for i in range(_LIMIT_LEVELS + 1)]
         acc = mpf(0)
         samples = []
         k = 0
@@ -507,9 +449,9 @@ def stieltjes_gamma1_limit(x, cfg: EvalConfig | None = None,
             return [mpf(1), L / Z, L / Z**2, 1 / Z**2,
                     L / Z**4, 1 / Z**4, L / Z**6, 1 / Z**6]
 
-        rows = [basis(Z) for Z, _ in samples]
-        vals = [v for _, v in samples]
-        return +_solve_linear(rows, vals)[0]
+        rows = mp.matrix([basis(Z) for Z, _ in samples])
+        vals = mp.matrix([v for _, v in samples])
+        return +mp.lu_solve(rows, vals)[0]
 
 
 def phi_ramanujan(x, cfg: EvalConfig | None = None) -> mpf:

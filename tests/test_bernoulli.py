@@ -7,7 +7,6 @@ import pytest
 
 from regsum import (CapacityError, bernoulli_number, bernoulli_poly_coeffs,
                     harmonic_number, poly_eval)
-from regsum.bernoulli import poly_derivative
 
 from refs import akiyama_tanigawa
 
@@ -67,7 +66,7 @@ def test_poly_value_symmetry():
 def test_derivative_relation():
     # B'_n(x) = n B_{n-1}(x), coefficient-wise exact
     for n in range(1, 31):
-        dn = poly_derivative(bernoulli_poly_coeffs(n))
+        dn = [k * c for k, c in enumerate(bernoulli_poly_coeffs(n))][1:]
         ref = [n * c for c in bernoulli_poly_coeffs(n - 1)]
         assert dn == ref, n
 

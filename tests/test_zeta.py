@@ -18,6 +18,7 @@ from regsum import (DEFAULT_CONFIG, DomainError, EvalConfig, PoleError,
                     stieltjes_integral, workprec, xreal,
                     zeta_prime_at_zero, zeta_sderiv_at_negatives)
 from regsum.config import CACHE_CAP, cache_put, tolerance, working_dps
+from regsum.zeta import _em_zeta_derivs, _laurent_wcoeffs
 
 from refs import (euler_gamma_ref, gamma1_ref, hurwitz_series, romberg,
                   seeded_uniforms, zeta3_ref)
@@ -323,6 +324,52 @@ def test_engine_precision_sweep(digits):
         with mp.workdps(ref_dps):
             if not _within_tol(v, mp.zeta(-j, 1, 1), cfg):
                 bad.append(("zeta'(-j)", j))
+    assert not bad, bad
+
+
+def test_third_derivative_against_mpmath():
+    # hurwitz_zeta_deriv stops at k = 2, but the engine gives any order
+    cfg = EvalConfig(precision_digits=50)
+    bad = []
+    for s in (mpf(-5.5), mpf(0.5), mpf(2.5)):
+        for a in (mpf(0.3), mpf(1.7)):
+            with workprec(cfg):
+                v = _em_zeta_derivs(s, a, 3)[3]
+            with mp.workdps(working_dps(cfg) + 60):
+                if not _within_tol(v, mp.zeta(s, a, 3), cfg):
+                    bad.append((s, a, v))
+    assert not bad, bad
+
+
+@pytest.mark.parametrize(
+    "digits", [50, pytest.param(100, marks=pytest.mark.slow)])
+def test_laurent_coefficients_against_stieltjes(digits):
+    # zeta(1+w, a) - 1/w = sum_n (-1)^n gamma_n(a)/n! w^n
+    cfg = EvalConfig(precision_digits=digits)
+    bad = []
+    for a in (mpf(0.3), mpf(1), mpf(1.7)):
+        with workprec(cfg):
+            c, _ = _laurent_wcoeffs(a, 6)
+        with mp.workdps(working_dps(cfg) + 30):
+            for n in range(7):
+                ref = (-1) ** n * mp.stieltjes(n, a) / mp.factorial(n)
+                if not _within_tol(c[n], ref, cfg):
+                    bad.append((a, n, c[n]))
+    assert not bad, bad
+
+
+@pytest.mark.parametrize("digits", [50, 100])
+def test_eta_near_one_against_altzeta(digits):
+    # the band |s - 1| < 0.02 that the random-s test skips
+    cfg = EvalConfig(precision_digits=digits)
+    bad = []
+    for w in ("1e-30", "-1e-30", "1e-8", "-1e-8", "0.05", "-0.09"):
+        with workprec(cfg):
+            s = 1 + mpf(w)
+            v = eta(s)
+        with mp.workdps(working_dps(cfg) + 60):
+            if not _within_tol(v, mp.altzeta(s), cfg):
+                bad.append((w, v))
     assert not bad, bad
 
 
