@@ -2,7 +2,11 @@
 
 Every identity is evaluated by two maximally independent routes (never the
 same closed form on both sides) and produces an IdentityReport with the
-raw sides, residuals, tolerance and a note naming both routes.
+raw sides, residuals, tolerance and a note naming both routes. Where the
+independent side is a series itself, it is summed on the unit circle,
+sum_n log^k(n) z^n/n^s with |z| = 1, by the forward-difference transform
+of kernels.sum_oscillatory to tolerance()/10, so its accuracy follows the
+working precision.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from .config import EvalConfig, cache_put, tolerance, workprec, xreal
 from .errors import CapabilityError, DomainError, UnknownIdentityError
 from .gammafn import digamma, loggamma
 from .kernels import sum_entire, sum_oscillatory
-from .series import (SeriesSpec, abel_oracle, direct_oracle, integer_sin_series,
-                     log_cos_limit_series, regularized_limit)
+from .series import (SeriesSpec, integer_sin_series, log_cos_limit_series,
+                     regularized_limit)
 from .zeta import (euler_gamma, hurwitz_zeta_deriv, log_two_pi, phi_ramanujan,
                    riemann_zeta, stieltjes_gamma1, stieltjes_gamma1_limit,
                    zeta_prime_at_zero, zeta_sderiv_at_negatives)
@@ -55,21 +59,32 @@ class IdentityReport:
         }
 
 
-def polylog_unimodular(order: int, x, cfg: EvalConfig | None = None):
-    """(Re, Im) of Li_order(e^{2 pi i x}) for integer order >= 2, 0 < x < 1.
+def _unit_circle_sum(z, s: int, k: int = 0):
+    """sum_{n>=1} log^k(n) z^n / n^s for |z| = 1, z != 1, integer s >= 1.
 
-    The cosine/sine sums converge absolutely; the oscillatory tail is
-    carried below the tolerance by the forward-difference transform.
+    Head summation plus the forward-difference transform of the tail, to
+    tolerance()/10; the value is complex when z is. The cost grows like
+    1/|1 - z|.
     """
+    if k:
+        def g(n):
+            return mp.log(n) ** k / mpf(n) ** s
+    else:
+        def g(n):
+            return 1 / mpf(n) ** s
+    val, _ = sum_oscillatory(g, z, tolerance() / 10)
+    return val
+
+
+def polylog_unimodular(order: int, x, cfg: EvalConfig | None = None):
+    """(Re, Im) of Li_order(e^{2 pi i x}) for integer order >= 2, 0 < x < 1."""
     if order < 2 or order != int(order):
         raise CapabilityError("polylog_unimodular needs integer order >= 2")
     with workprec(cfg):
         x = xreal(x)
         if not (0 < x < 1):
             raise DomainError("x must lie strictly inside (0, 1)")
-        z = mp.expjpi(2 * x)
-        val, _ = sum_oscillatory(lambda n: mpf(1) / mpf(n) ** int(order), z,
-                                 tolerance() / 10)
+        val = _unit_circle_sum(mp.expjpi(2 * x), int(order))
         return +val.real, +val.imag
 
 
@@ -240,19 +255,18 @@ def _id_deninger_log_cos(t):
 def _id_zeta_dd_fourier(t):
     lhs = hurwitz_zeta_deriv(2, 0, t)
     c = euler_gamma() + log_two_pi()
-    a_sin_log2 = abel_oracle(SeriesSpec("sin", t, 1, weight="log2")).value
-    a_sin_log = abel_oracle(SeriesSpec("sin", t, 1, weight="log")).value
-    a_sin = abel_oracle(SeriesSpec("sin", t, 1)).value
-    a_cos_log = abel_oracle(SeriesSpec("cos", t, 1, weight="log")).value
-    a_cos = abel_oracle(SeriesSpec("cos", t, 1)).value
-    base = ((a_sin_log2 + 2 * c * a_sin_log + c * c * a_sin) / mp.pi
-            + c * a_cos + a_cos_log)
+    # the sine and cosine series at s = 1 are Im and Re of three sums
+    z = mp.expjpi(2 * t)
+    l0, l1, l2 = (_unit_circle_sum(z, 1, k) for k in range(3))
+    base = ((l2.imag + 2 * c * l1.imag + c * c * l0.imag) / mp.pi
+            + c * l0.real + l1.real)
     z2 = riemann_zeta(2)
-    rhs_printed = base - z2 / 4 * a_sin / mp.pi
-    rhs_half = base - z2 / 2 * a_sin / mp.pi
+    rhs_printed = base - z2 / 4 * l0.imag / mp.pi
+    rhs_half = base - z2 / 2 * l0.imag / mp.pi
     notes = ("lhs: zeta''(0,t) by Euler-Maclaurin; rhs: the printed Fourier "
-             "form with all five component series Abel-summed (log^2, log "
-             "and unit weights)")
+             "form with its five component series (log^2, log and unit "
+             "weights) as Im and Re of three Euler-transformed sums on the "
+             "unit circle")
     tol = xreal("1e-5")
     if abs(lhs - rhs_printed) > tol and abs(lhs - rhs_half) <= tol:
         notes += ("; SUSPECT CONSTANT: the printed (1/4)zeta(2) sine "
@@ -298,13 +312,14 @@ def _id_kummer_log_sin(t):
 
 
 def _id_even_exponent_sin(x):
+    z = mp.expjpi(2 * x)
     subs = []
     for m in (1, 2):
         v = integer_sin_series(x, 2 * m)
-        d = direct_oracle(SeriesSpec("sin", x, 2 * m), 4 * 10 ** 4)
-        subs.append((f"m={m}", v.value, d.value))
+        subs.append((f"m={m}", v.value, _unit_circle_sum(z, 2 * m).imag))
     notes = ("lhs: even-exponent closed form (log/digamma head plus zeta "
-             "tails); rhs: Cesaro-averaged direct summation")
+             "tails); rhs: Im Li_2m(e^{2 pi i x}) by the Euler transform "
+             "on the unit circle")
     return subs, notes
 
 
@@ -330,13 +345,12 @@ def _id_adamchik_reflection(x):
 
 
 def _id_alt_log_harmonic(_):
-    # (-1)^{n+1} log n / n  ==  -(cos series with log weight at x = 1/2, s = 1)
-    a = abel_oracle(SeriesSpec("cos", mpf(1) / 2, 1, weight="log"))
-    lhs = -a.value
+    # sum (-1)^{n+1} log n / n  ==  -sum log n (-1)^n / n
+    lhs = -_unit_circle_sum(mpf(-1), 1, 1)
     ln2 = mp.log(2)
     rhs = ln2 ** 2 / 2 - euler_gamma() * ln2
-    notes = ("lhs: Abel-summed alternating log-harmonic series (cosine "
-             "kernel at x=1/2); rhs: log^2(2)/2 - gamma log 2")
+    notes = ("lhs: alternating log-harmonic series by the Euler transform "
+             "at z = -1; rhs: log^2(2)/2 - gamma log 2")
     return [("", lhs, rhs)], notes
 
 

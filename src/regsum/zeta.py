@@ -26,13 +26,15 @@ returned as a conservative error bound where callers need one.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
 from .bernoulli import BERNOULLI_INDEX_CAP, bernoulli_number, harmonic_number
-from .config import EvalConfig, cache_put, workprec, xreal
-from .errors import ConvergenceError, DomainError, PoleError
+from .config import EvalConfig, cache_put, tolerance, workprec, xreal
+from .errors import (ConvergenceError, DomainError, PoleError,
+                     PrecisionLossWarning)
 
 _LN10 = math.log(10.0)
 _LOG_2PI = math.log(2 * math.pi)
@@ -428,6 +430,11 @@ def stieltjes_gamma1_limit(x, cfg: EvalConfig | None = None) -> mpf:
     basis {1, log Z/Z, log Z/Z^2, 1/Z^2, log Z/Z^4, 1/Z^4, log Z/Z^6, 1/Z^6}
     (Z = N+x), which is the asymptotic form the summation-by-parts
     corrections actually take; the constant term is the limit.
+
+    The checkpoints and the basis are fixed, so the accuracy is too: about
+    1e-29. The fit without the first checkpoint and the last basis term
+    estimates the error (~1e-25); PrecisionLossWarning is raised when that
+    estimate exceeds tolerance(), i.e. above about 55 digits.
     """
     with workprec(cfg):
         x = xreal(x)
@@ -449,9 +456,20 @@ def stieltjes_gamma1_limit(x, cfg: EvalConfig | None = None) -> mpf:
             return [mpf(1), L / Z, L / Z**2, 1 / Z**2,
                     L / Z**4, 1 / Z**4, L / Z**6, 1 / Z**6]
 
-        rows = mp.matrix([basis(Z) for Z, _ in samples])
-        vals = mp.matrix([v for _, v in samples])
-        return +mp.lu_solve(rows, vals)[0]
+        def fit(pts, terms):
+            rows = mp.matrix([basis(Z)[:terms] for Z, _ in pts])
+            vals = mp.matrix([v for _, v in pts])
+            return mp.lu_solve(rows, vals)[0]
+
+        value = fit(samples, len(samples))
+        est = abs(value - fit(samples[1:], len(samples) - 1))
+        tol = tolerance()
+        if est > tol:
+            warnings.warn(
+                f"gamma1 limit-formula error estimate {mp.nstr(est, 3)} "
+                f"exceeds the tolerance {mp.nstr(tol, 3)}",
+                PrecisionLossWarning)
+        return +value
 
 
 def phi_ramanujan(x, cfg: EvalConfig | None = None) -> mpf:

@@ -127,3 +127,53 @@ def hurwitz_series(kernel: str, x, s) -> mpf:
     if kernel == "sin":
         return mp.power(2 * mp.pi, s) * (a - b) / (4 * mp.gamma(s) * mp.sinpi(s / 2))
     return mp.power(2 * mp.pi, s) * (a + b) / (4 * mp.gamma(s) * mp.cospi(s / 2))
+
+
+def _series_mul(a: list, b: list) -> list:
+    """Product of two truncated Taylor series of equal length."""
+    return [sum(a[j] * b[m - j] for j in range(m + 1)) for m in range(len(a))]
+
+
+def _series_exp(a: list) -> list:
+    """exp of a truncated Taylor series with a[0] = 0."""
+    out = [mpf(1)]
+    for n in range(1, len(a)):
+        out.append(sum(j * a[j] * out[n - j] for j in range(1, n + 1)) / n)
+    return out
+
+
+def polylog_log_weight(x, s: int, k: int):
+    """sum_n log^k(n) e^{2 pi i n x} / n^s = (-d/ds)^k Li_s(e^{2 pi i x}) for
+    integer s >= 1 and 0 < x < 1, from mpmath's Hurwitz zeta derivatives at
+    the current precision.
+
+    Hurwitz's formula
+
+        Li_{s+t}(e^{2 pi i x}) = Gamma(1-s-t) (2 pi)^{s+t-1}
+            [e^{i pi (1-s-t)/2} zeta(1-s-t, x) + e^{-i pi (1-s-t)/2} zeta(1-s-t, 1-x)]
+
+    is expanded in t with mp.zeta(1-s, a, m). Gamma(1-s-t) has a simple pole
+    at t = 0 and the bracket a simple zero, so the bracket is carried to
+    order k+1 and divided by t, and Gamma(1-s-t) (2 pi)^t is written as
+    exp(t (gamma + log 2 pi) + sum_{m>=2} zeta(m) t^m/m) over
+    -(-1)(-2)...(-(s-1)) (1 + t)(1 + t/2)...(1 + t/(s-1)).
+    """
+    x = mpf(x)
+    n = k + 1
+    H = [mpf(0)] * (n + 1)
+    for sigma, a in ((1, x), (-1, 1 - x)):
+        e = mp.expjpi(sigma * mpf(1 - s) / 2)
+        E = [e * (-sigma * mp.j * mp.pi / 2) ** m / mp.factorial(m)
+             for m in range(n + 1)]
+        R = [(-1) ** m * mp.zeta(1 - s, a, m) / mp.factorial(m)
+             for m in range(n + 1)]
+        H = [h + p for h, p in zip(H, _series_mul(E, R))]
+    bracket_over_t = H[1:]
+    logs = [mpf(0), mp.euler + mp.log(2 * mp.pi)]
+    logs += [mp.zeta(m) / m for m in range(2, n)]
+    G = [-(2 * mp.pi) ** (s - 1) * c for c in _series_exp(logs[:n])]
+    for j in range(1, s):
+        G = _series_mul(G, [-mpf(1) / j * (-mpf(1) / j) ** m
+                            for m in range(n)])
+    c = _series_mul(G, bracket_over_t)
+    return (-1) ** k * mp.factorial(k) * c[k]

@@ -3,14 +3,16 @@
 import pytest
 from mpmath import mp, mpf
 
-from regsum import (CapabilityError, DEFAULT_CONFIG, DomainError,
+from regsum import (CapabilityError, DEFAULT_CONFIG, DomainError, EvalConfig,
                     REGISTRY, SeriesSpec, UnknownIdentityError,
                     euler_gamma, hurwitz_zeta_deriv,
                     integer_sin_series, polylog_unimodular, regularized_limit,
                     run_suite, verify_identity, workprec)
 import regsum.identities as identities_mod
+import regsum.series as series_mod
+from regsum.config import tolerance
 
-from refs import catalan
+from refs import catalan, polylog_log_weight
 
 CFG = DEFAULT_CONFIG
 
@@ -214,3 +216,74 @@ def test_adamchik_trickovic_equivalence():
             assert abs(lhs - rhs) < mpf("1e-8"), x
             r = verify_identity("adamchik_reflection", x, CFG)
             assert r.passed and r.abs_residual < mpf("1e-8")
+
+
+# ---------------------- unit-circle oracle sums ---------------------------
+
+# (s, log power) of every sum the registry takes on the unit circle:
+# zeta_dd_fourier's three sums at s = 1 (Re and Im give its five series) and
+# even_exponent_sin's Li_2 and Li_4 (Im)
+UNIT_CIRCLE_SUMS = [(1, 0), (1, 1), (1, 2), (2, 0), (4, 0)]
+ORACLE_XS = ["0.3", "0.1328125", "0.7109375"]
+ORACLE_DIGITS = [50, 100, pytest.param(200, marks=pytest.mark.slow)]
+
+
+def _check_unit_circle_sums(x, digits):
+    cfg = EvalConfig(digits)
+    with workprec(cfg):
+        x = mpf(x)
+        z = mp.expjpi(2 * x)
+        for s, k in UNIT_CIRCLE_SUMS:
+            got = identities_mod._unit_circle_sum(z, s, k)
+            with mp.extradps(20):
+                ref = polylog_log_weight(x, s, k)
+            assert abs(got - ref) <= tolerance(cfg), (digits, x, s, k)
+
+
+def test_refs_polylog_log_weight_matches_mp_polylog():
+    # the reference's pole/zero division at integer s, checked at k = 0
+    with mp.workdps(40):
+        for s in (1, 2, 4):
+            for x in (mpf("0.3"), mpf("0.5"), mpf("0.9")):
+                ref = mp.polylog(s, mp.expjpi(2 * x))
+                assert abs(polylog_log_weight(x, s, 0) - ref) < mpf("1e-35")
+
+
+@pytest.mark.parametrize("digits", ORACLE_DIGITS)
+@pytest.mark.parametrize("x", ORACLE_XS)
+def test_unit_circle_sums_against_hurwitz_refs(x, digits):
+    _check_unit_circle_sums(x, digits)
+
+
+@pytest.mark.parametrize("x", ["0.01", "0.99"])
+def test_unit_circle_sums_near_the_ends(x):
+    _check_unit_circle_sums(x, 50)
+
+
+@pytest.mark.parametrize("digits", ORACLE_DIGITS)
+def test_transform_oracle_identities_meet_the_tolerance(digits):
+    # the independent sides used to cap these at 1e-14 (direct sum) and
+    # 1e-30 (Abel); now they follow the precision
+    cfg = EvalConfig(digits)
+    tol = tolerance(cfg)
+    for x in ORACLE_XS:
+        r = verify_identity("even_exponent_sin", mpf(x), cfg)
+        assert r.passed and r.abs_residual <= tol, (x, r.abs_residual)
+    r = verify_identity("alt_log_harmonic", None, cfg)
+    assert r.passed and r.abs_residual <= tol, r.abs_residual
+    r = verify_identity("zeta_dd_fourier", mpf("0.5"), cfg)
+    assert r.passed and r.abs_residual <= tol, r.abs_residual
+    r = verify_identity("zeta_dd_fourier", mpf("0.3"), cfg)
+    assert not r.passed and "SUSPECT CONSTANT" in r.method_notes
+
+
+def test_no_identity_calls_the_abel_or_direct_oracle(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("registry identity called a slow oracle")
+    for name in ("abel_oracle", "direct_oracle"):
+        monkeypatch.setattr(series_mod, name, boom)
+        monkeypatch.setattr(identities_mod, name, boom, raising=False)
+    for name, defn in sorted(REGISTRY.items()):
+        point = {"x": mpf("0.3"), "int": 3, "none": None}[defn.point_kind]
+        r = verify_identity(name, point, CFG)
+        assert r.passed or name == "zeta_dd_fourier", name

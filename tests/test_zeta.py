@@ -6,13 +6,15 @@ never from the code path being checked.
 """
 
 import time
+import warnings
 
 import pytest
 from mpmath import mp, mpf
 
 from regsum import (DEFAULT_CONFIG, DomainError, EvalConfig, PoleError,
-                    SeriesSpec, bernoulli_number, closed_form_series, digamma,
-                    eta, euler_gamma, hurwitz_zeta_deriv,
+                    PrecisionLossWarning, SeriesSpec, bernoulli_number,
+                    closed_form_series, digamma, eta, euler_gamma,
+                    hurwitz_zeta_deriv,
                     laurent_coefficients, loggamma, phi_ramanujan,
                     riemann_zeta, stieltjes_gamma1, stieltjes_gamma1_limit,
                     stieltjes_integral, workprec, xreal,
@@ -219,6 +221,21 @@ def test_gamma1_engine_vs_limit_oracle_grid():
             a = stieltjes_gamma1(x, CFG)
             b = stieltjes_gamma1_limit(x, CFG)
             assert abs(a - b) < mpf("1e-8"), x
+
+
+def test_gamma1_limit_flags_its_accuracy_cap():
+    # the limit formula is good to ~1e-29 at any precision: silent at 50
+    # digits (tolerance 1e-20), flagged at 100 (tolerance 1e-70)
+    x = mpf("0.3")
+    with workprec(CFG), warnings.catch_warnings():
+        warnings.simplefilter("error", PrecisionLossWarning)
+        v50 = stieltjes_gamma1_limit(x)
+        assert abs(v50 - stieltjes_gamma1(x)) < mpf("1e-28")
+    cfg100 = EvalConfig(100)
+    with workprec(cfg100):
+        with pytest.warns(PrecisionLossWarning, match="gamma1 limit"):
+            v100 = stieltjes_gamma1_limit(x)
+        assert abs(v100 - stieltjes_gamma1(x)) < mpf("1e-28")
 
 
 def test_gamma_constant_consistency():
