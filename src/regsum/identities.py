@@ -123,8 +123,9 @@ def _id_entry17v(x):
 def _id_cot_limit(x):
     v = regularized_limit(SeriesSpec("sin", x, 0))
     rhs = _cot_pi(x) / 2
-    notes = ("lhs: regularized exponent limit via exact-Bernoulli zeta(-odd) "
-             "series; rhs: cot(pi x)/2 by direct transcendental evaluation")
+    notes = ("lhs: regularized exponent limit via the zeta(-odd) series "
+             "from the functional equation; rhs: cot(pi x)/2 by direct "
+             "transcendental evaluation")
     return [("", v.value, rhs)], notes
 
 

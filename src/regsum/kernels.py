@@ -72,8 +72,8 @@ def richardson_extrapolate(samples: Sequence[tuple], order: int):
     return +value, abs(value - prev_last)
 
 
-def sum_oscillatory(g: Callable[[int], mpf], z, tol, start: int = 1):
-    """sum_{n>=start} g(n) z^n for |z| <= 1, z != 1, g smooth and slowly varying.
+def sum_oscillatory(g: Callable[[int], mpf], z, tol):
+    """sum_{n>=1} g(n) z^n for |z| <= 1, z != 1, g smooth and slowly varying.
 
     Direct head summation up to a split point N, then the forward-difference
     (Euler) transform of the tail,
@@ -93,8 +93,8 @@ def sum_oscillatory(g: Callable[[int], mpf], z, tol, start: int = 1):
     extra_dps = int(max_diffs * 0.35) + 10
 
     head = z * 0
-    zpow = z ** start  # z^n for the next head term
-    n = start
+    zpow = z  # z^n for the next head term
+    n = 1
     terms_used = 0
     headlen = max(48, int(8 * abs(u)))
 

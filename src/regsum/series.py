@@ -85,7 +85,7 @@ def _mirror(kernel: str, x: mpf):
 
     sin(2 n pi (1-x)) = -sin(2 n pi x) and cos(2 n pi (1-x)) = cos(2 n pi x),
     so the reduction is exact for every series here; it keeps the power-series
-    tails (ratio x^2) fast and inside the Bernoulli index guard.
+    tails (ratio x^2) fast.
     """
     if x > mpf(1) / 2:
         return 1 - x, (mpf(-1) if kernel == "sin" else mpf(1))
@@ -130,17 +130,17 @@ def _half_point_value(kernel: str, weight: str, s: mpf) -> mpf:
 
 def _plain_tail(kernel: str, x: mpf, s: mpf):
     """sum_n (-1)^n zeta(s-2n-1) w^{2n+1}/(2n+1)!  (sin)
-       sum_n (-1)^n zeta(s-2n)   w^{2n}/(2n)!      (cos),  w = 2 pi x."""
+       sum_n (-1)^n zeta(s-2n)   w^{2n}/(2n)!      (cos),  w = 2 pi x,
+    less the zeta(1) term (sin at even s; integer_sin_series's head)."""
     w = 2 * mp.pi * x
+    p = 1 if kernel == "sin" else 0
 
-    if kernel == "sin":
-        def term(n):
-            return ((-1) ** n * riemann_zeta(s - 2 * n - 1)
-                    * mp.power(w, 2 * n + 1) / mp.factorial(2 * n + 1))
-    else:
-        def term(n):
-            return ((-1) ** n * riemann_zeta(s - 2 * n)
-                    * mp.power(w, 2 * n) / mp.factorial(2 * n))
+    def term(n):
+        z = s - 2 * n - p
+        if z == 1:
+            return mpf(0)
+        return ((-1) ** n * riemann_zeta(z)
+                * mp.power(w, 2 * n + p) / mp.factorial(2 * n + p))
     return sum_entire(term)
 
 
@@ -184,17 +184,14 @@ def _plain_limit(kernel: str, weight: str, x: mpf) -> RegularizedValue:
     if weight == "unit":
         # cot(pi x)/2 through the zeta(-odd) power series
         head = 1 / w
-
-        def term(n):
-            return ((-1) ** n * riemann_zeta(-2 * n - 1)
-                    * mp.power(w, 2 * n + 1) / mp.factorial(2 * n + 1))
+        tail, n = _plain_tail(kernel, x, mpf(0))
     else:
         head = -(euler_gamma() + mp.log(w)) / w
 
         def term(n):
             return ((-1) ** (n + 1) * zeta_sderiv_at_negatives(2 * n + 1)
                     * mp.power(w, 2 * n + 1) / mp.factorial(2 * n + 1))
-    tail, n = sum_entire(term)
+        tail, n = sum_entire(term)
     return RegularizedValue(+(sign * (head + tail)), "closed_form", +tol, n)
 
 
@@ -308,7 +305,8 @@ def integer_sin_series(x, s: int, cfg: EvalConfig | None = None) -> RegularizedV
         (-1)^{m+1} (2 pi)^{2m+1} / (2 (2m+1)!) * B_{2m+1}(x).
     Even s = 2m: the L'Hopital limit of the generic closed form,
         (-1)^m w^{2m-1}/(2m-1)! * [log w - psi(2m) - gamma]
-        + the finite and infinite zeta tails  (w = 2 pi x).
+        + its sine zeta tail less the zeta(1) term  (w = 2 pi x);
+    terms_used counts the whole tail.
     """
     if s != int(s):
         raise DomainError("integer_sin_series requires integer s")
@@ -335,17 +333,8 @@ def integer_sin_series(x, s: int, cfg: EvalConfig | None = None) -> RegularizedV
         g = euler_gamma()
         head = ((-1) ** m * mp.power(w, 2 * m - 1) / mp.factorial(2 * m - 1)
                 * (mp.log(w) - digamma(2 * m) - g))
-        fin = mpf(0)
-        for n in range(0, m - 1):
-            fin += ((-1) ** n * riemann_zeta(2 * m - 2 * n - 1)
-                    * mp.power(w, 2 * n + 1) / mp.factorial(2 * n + 1))
-
-        def term(i):
-            n = m + i
-            return ((-1) ** n * riemann_zeta(-2 * i - 1)
-                    * mp.power(w, 2 * n + 1) / mp.factorial(2 * n + 1))
-        tail, nterms = sum_entire(term)
-        return RegularizedValue(+(sign * (head + fin + tail)),
+        tail, nterms = _plain_tail("sin", x, xreal(s))
+        return RegularizedValue(+(sign * (head + tail)),
                                 "integer_branch", +tol, nterms)
 
 
@@ -424,7 +413,7 @@ def abel_oracle(spec: SeriesSpec, cfg: EvalConfig | None = None) -> RegularizedV
             z = (1 - h) * z0
             if spec.alternating:
                 z = -z
-            val, used = sum_oscillatory(g, z, tol, start=1)
+            val, used = sum_oscillatory(g, z, tol)
             total += used
             comp = val.imag if spec.kernel == "sin" else val.real
             if spec.alternating:

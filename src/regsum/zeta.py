@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .bernoulli import BERNOULLI_INDEX_CAP, bernoulli_number, harmonic_number
+from .bernoulli import BERNOULLI_INDEX_CAP, bernoulli_number
 from .config import EvalConfig, cache_put, tolerance, workprec, xreal
 from .errors import (ConvergenceError, DomainError, PoleError,
                      PrecisionLossWarning)
@@ -261,8 +261,8 @@ def _rz(s: mpf) -> mpf:
     """Riemann zeta at the current working precision (s != 1).
 
     The Laurent expansion inside |s-1| < 0.1, Euler's formula at positive
-    even integers, Euler-Maclaurin at every other s > 0, Bernoulli numbers
-    at integers s <= 0 and the functional equation at other s < 0.
+    even integers up to BERNOULLI_INDEX_CAP, Euler-Maclaurin at every other
+    s > 0, -1/2 at 0 and the functional equation at s < 0 but the zeros.
     """
     key = (s, mp.dps)
     hit = _RZ_CACHE.get(key)
@@ -278,12 +278,10 @@ def _rz(s: mpf) -> mpf:
                  / (2 * mp.factorial(2 * k)))
         else:
             v = _em_zeta_derivs(s, mpf(1), 0)[0]
-    elif s == int(s):
-        m = -int(s)
-        if m == 0:
-            v = mpf(-1) / 2
-        else:
-            v = -xreal(bernoulli_number(m + 1)) / (m + 1)
+    elif s == 0:
+        v = mpf(-1) / 2
+    elif s == int(s) and int(s) % 2 == 0:
+        v = mpf(0)  # trivial zero
     else:
         # functional equation: zeta(s) = 2^s pi^{s-1} sin(pi s/2) Gamma(1-s) zeta(1-s)
         v = (mp.power(2, s) * mp.power(mp.pi, s - 1) * mp.sin(mp.pi * s / 2)
@@ -297,9 +295,9 @@ def riemann_zeta(s, cfg: EvalConfig | None = None) -> mpf:
     """zeta(s) for real s != 1.
 
     Euler-Maclaurin for s > 0 (no direct Dirichlet sum, so the cost stays
-    polynomial in the digit count at any s), Bernoulli/functional-equation
-    routes for s <= 0, the Laurent expansion inside |s-1| < 0.1, Euler's
-    even-integer formula for positive even s.
+    polynomial in the digit count at any s), the functional equation for
+    s < 0 but the trivial zeros, the Laurent expansion inside |s-1| < 0.1,
+    Euler's formula for positive even s up to BERNOULLI_INDEX_CAP.
     """
     with workprec(cfg):
         s = xreal(s)
@@ -352,8 +350,10 @@ def zeta_sderiv_at_negatives(j: int, cfg: EvalConfig | None = None) -> mpf:
     """zeta'(-j) for integer j >= 1.
 
     Even j = 2n:  zeta'(-2n) = (-1)^n (2n)!/(2 (2pi)^{2n}) zeta(2n+1).
-    Odd j = 2k-1: from the reflection-derived substitution
-        2k zeta'(1-2k) = [zeta'(2k)/zeta(2k) + H_{2k-1} - gamma - log 2pi] B_{2k}.
+    Odd j = 2k-1: the functional equation differentiated at s = 2k,
+        zeta'(1-2k) = (-1)^{k+1} 2 (2k-1)!/(2pi)^{2k}
+                      * [zeta'(2k) + (psi(2k) - log 2pi) zeta(2k)],
+    with zeta(2k) and zeta'(2k) from one Euler-Maclaurin pass.
     """
     if j < 1:
         raise DomainError("zeta_sderiv_at_negatives requires j >= 1")
@@ -368,11 +368,10 @@ def zeta_sderiv_at_negatives(j: int, cfg: EvalConfig | None = None) -> mpf:
                  / (2 * (2 * mp.pi) ** (2 * n)) * _rz(xreal(2 * n + 1)))
         else:
             k = (j + 1) // 2
-            s2k = xreal(2 * k)
-            z, zp = _em_zeta_derivs(s2k, mpf(1), 1)
-            h = xreal(harmonic_number(2 * k - 1))
-            v = (xreal(bernoulli_number(2 * k)) / (2 * k)
-                 * (zp / z + h - euler_gamma() - log_two_pi()))
+            z, zp = _em_zeta_derivs(xreal(2 * k), mpf(1), 1)
+            v = ((-1) ** (k + 1) * 2 * mp.factorial(2 * k - 1)
+                 / (2 * mp.pi) ** (2 * k)
+                 * (zp + z * (mp.digamma(2 * k) - log_two_pi())))
         v = +v
         cache_put(_ZPN_CACHE, key, v)
         return v

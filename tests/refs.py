@@ -129,6 +129,19 @@ def hurwitz_series(kernel: str, x, s) -> mpf:
     return mp.power(2 * mp.pi, s) * (a + b) / (4 * mp.gamma(s) * mp.cospi(s / 2))
 
 
+def sin_log_limit(x) -> mpf:
+    """lim_{s->0} sum_n log n sin(2 n pi x)/n^s for 0 < x < 1, from mpmath's
+    Stieltjes constants at the current precision, by Ramanujan's entry 17(v)
+    (the relation the entry17v identity checks):
+
+        (gamma_1(1-x) - gamma_1(x) - pi (gamma + log 2 pi) cot(pi x)) / (2 pi)
+    """
+    x = mpf(x)
+    cot = mp.cospi(x) / mp.sinpi(x)
+    return ((mp.stieltjes(1, 1 - x) - mp.stieltjes(1, x)
+             - mp.pi * (mp.euler + mp.log(2 * mp.pi)) * cot) / (2 * mp.pi))
+
+
 def _series_mul(a: list, b: list) -> list:
     """Product of two truncated Taylor series of equal length."""
     return [sum(a[j] * b[m - j] for j in range(m + 1)) for m in range(len(a))]

@@ -1,10 +1,13 @@
 """Identity registry: verification reports, suite semantics, equivalences."""
 
+import warnings
+
 import pytest
 from mpmath import mp, mpf
 
 from regsum import (CapabilityError, DEFAULT_CONFIG, DomainError, EvalConfig,
-                    REGISTRY, SeriesSpec, UnknownIdentityError,
+                    PrecisionLossWarning, REGISTRY, SeriesSpec,
+                    UnknownIdentityError,
                     euler_gamma, hurwitz_zeta_deriv,
                     integer_sin_series, polylog_unimodular, regularized_limit,
                     run_suite, verify_identity, workprec)
@@ -275,6 +278,28 @@ def test_transform_oracle_identities_meet_the_tolerance(digits):
     assert r.passed and r.abs_residual <= tol, r.abs_residual
     r = verify_identity("zeta_dd_fourier", mpf("0.3"), cfg)
     assert not r.passed and "SUSPECT CONSTANT" in r.method_notes
+
+
+# the identities whose zeta(-odd) or zeta'(-odd) tails run past k = 256 at
+# 300 digits, where B_2k is past BERNOULLI_INDEX_CAP
+CAP_CASES = ([("half_point_value", None)]
+             + [(name, x) for name in ("cot_limit", "deninger_log_cos",
+                                       "entry17v", "even_exponent_sin")
+                for x in ("0.3", "0.45", "0.5")])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name,x", CAP_CASES)
+def test_identities_at_300_digits(name, x):
+    cfg = EvalConfig(300)
+    with warnings.catch_warnings():
+        # entry17v's gamma1 limit oracle stops near 1e-30 and says so
+        warnings.simplefilter("ignore" if name == "entry17v" else "error",
+                              PrecisionLossWarning)
+        r = verify_identity(name, x, cfg)
+    assert r.passed, (r.abs_residual, r.method_notes)
+    if name != "entry17v":
+        assert r.abs_residual <= tolerance(cfg), r.abs_residual
 
 
 def test_no_identity_calls_the_abel_or_direct_oracle(monkeypatch):

@@ -13,9 +13,10 @@ from regsum import (CapabilityError, DEFAULT_CONFIG, DomainError, EvalConfig,
                     evaluate_series, gamma_fn, integer_cos_series,
                     integer_sin_series, log_cos_limit_series,
                     regularized_limit, riemann_zeta, workprec)
-from regsum.config import tolerance
+from regsum.config import tolerance, working_dps
 
-from refs import catalan, eta_tail, hurwitz_series, seeded_uniforms
+from refs import (catalan, eta_tail, hurwitz_series, seeded_uniforms,
+                  sin_log_limit)
 
 CFG = DEFAULT_CONFIG
 
@@ -269,6 +270,34 @@ def test_precision_100_digits_zeta_and_closed_form():
         assert abs(cf.value - ref) < tolerance(cfg)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("x", ["0.3", "0.45", "0.5"])
+def test_sine_limits_at_300_digits(x):
+    # w = 2 pi x reaches pi after the mirror, so the zeta(-odd) and
+    # zeta'(-odd) tails run past k = 256, where B_2k is past
+    # BERNOULLI_INDEX_CAP
+    cfg = EvalConfig(300)
+    with workprec(cfg):
+        x = mpf(x)
+    half = mpf(1) / 2
+    bad = []
+    for alternating in (False, True):
+        if alternating and x == half:
+            continue  # tan(pi x)/2 has its pole there
+        for weight in ("unit", "log"):
+            spec = SeriesSpec("sin", x, 0, alternating, weight)
+            v = regularized_limit(spec, cfg).value
+            with mp.workdps(working_dps(cfg) + 40):
+                # the alternating series is minus the plain one at x + 1/2
+                xp = x + half if alternating else x
+                ref = (_cot(xp) / 2 if weight == "unit"
+                       else sin_log_limit(xp))
+                err = abs(v - (-ref if alternating else ref))
+            if not err <= tolerance(cfg):
+                bad.append((alternating, weight, mp.nstr(err, 3)))
+    assert not bad, bad
+
+
 # ----------------------- precision sweep of the routes --------------------
 
 # (digits, examples): the mpmath references dominate the time, ~2 s a case
@@ -332,6 +361,30 @@ def test_integer_sin_even_branch_catalan():
         assert abs(rv.value - catalan()) < mpf("1e-8")
         dr = direct_oracle(SeriesSpec("sin", mpf("0.25"), 2), 10 ** 5, CFG)
         assert abs(rv.value - dr.value) < mpf("1e-8")
+
+
+# the ends, and x where w = 2 pi x reaches pi after the mirror, so the
+# zeta(-odd) tail is longest
+EVEN_SIN_XS = ("0.001", "0.3", "0.45", "0.5", "0.999")
+
+
+@pytest.mark.parametrize(
+    "digits", [30, 50, 100, pytest.param(300, marks=pytest.mark.slow)])
+def test_integer_sin_even_branch_against_clausen(digits):
+    # the even branch's tail sum skips the zeta(1) term and runs over the
+    # finite zeta(odd) terms too, so its stopping rule sees them at small x
+    cfg = EvalConfig(digits)
+    bad = []
+    for xs in EVEN_SIN_XS:
+        with workprec(cfg):
+            x = mpf(xs)
+        for m in (1, 2, 3):
+            v = integer_sin_series(x, 2 * m, cfg).value
+            with mp.workdps(working_dps(cfg) + 40):
+                err = abs(v - mp.clsin(2 * m, 2 * mp.pi * x))
+            if not err <= tolerance(cfg):
+                bad.append((xs, 2 * m, mp.nstr(err, 3)))
+    assert not bad, bad
 
 
 def test_integer_sin_redirect_and_domain():

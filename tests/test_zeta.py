@@ -330,16 +330,22 @@ def test_engine_precision_sweep(digits):
                 with mp.workdps(ref_dps):
                     if not _within_tol(v, mp.zeta(s, a, k), cfg):
                         bad.append(("hurwitz", k, s, a))
-    # 31.5 and 64.25 used to take a direct Dirichlet sum, as did odd j >= 29
-    for s in (mpf(31.5), mpf(64.25)):
+    # 31.5 and 64.25 used to take a direct Dirichlet sum, as did odd j >= 29;
+    # -513 and j = 513 are where the Bernoulli route would need B_514, past
+    # BERNOULLI_INDEX_CAP
+    for s in (mpf(31.5), mpf(64.25), mpf(-513)):
         v = riemann_zeta(s, cfg)
         with mp.workdps(ref_dps):
             if not _within_tol(v, mp.zeta(s), cfg):
                 bad.append(("riemann", s))
-    for j in (1, 2, 29, 41, 61):
+    for j in (1, 2, 29, 41, 61, 513):
         v = zeta_sderiv_at_negatives(j, cfg)
         with mp.workdps(ref_dps):
-            if not _within_tol(v, mp.zeta(-j, 1, 1), cfg):
+            # mp.zeta(-513, 1, 1) takes 7-23 s on a 2-core Xeon; mp.diff
+            # differentiates mpmath's zeta at non-integer s around -513,
+            # through its own functional equation, in 0.1-5 s
+            ref = mp.diff(mp.zeta, -j) if j > 100 else mp.zeta(-j, 1, 1)
+            if not _within_tol(v, ref, cfg):
                 bad.append(("zeta'(-j)", j))
     assert not bad, bad
 
