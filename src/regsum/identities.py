@@ -21,7 +21,7 @@ from .bernoulli import bernoulli_number, bernoulli_poly_coeffs, poly_eval
 from .config import EvalConfig, cache_put, tolerance, workprec, xreal
 from .errors import CapabilityError, DomainError, UnknownIdentityError
 from .gammafn import digamma, loggamma
-from .kernels import sum_entire, sum_oscillatory
+from .kernels import sum_oscillatory, sum_taylor
 from .series import (SeriesSpec, integer_sin_series, log_cos_limit_series,
                      regularized_limit)
 from .zeta import (euler_gamma, hurwitz_zeta_deriv, log_two_pi, phi_ramanujan,
@@ -129,33 +129,27 @@ def _id_cot_limit(x):
     return [("", v.value, rhs)], notes
 
 
-def _limit_series_em(kernel: str, alternating: bool, x):
-    """s->0 limit series with zeta/eta taken from Euler-Maclaurin
+def _limit_series_em(alternating: bool, x):
+    """s->0 limit series by sum_taylor, zeta/eta from Euler-Maclaurin
     continuation (keeps the constant-limit checks non-vacuous)."""
-    w = 2 * mp.pi * x
-
-    def zeta_em(s):
-        v = hurwitz_zeta_deriv(0, s, 1)
+    def zeta_em(n):
+        v = hurwitz_zeta_deriv(0, -2 * n, 1)
         if alternating:
-            v = -v if s == 0 else (1 - mp.power(2, 1 - s)) * v
+            v = -v if n == 0 else (1 - mpf(2) ** (2 * n + 1)) * v
         return v
-
-    def term(n):
-        return ((-1) ** n * zeta_em(mpf(-2 * n))
-                * mp.power(w, 2 * n) / mp.factorial(2 * n))
-    val, _ = sum_entire(term)
+    val, _ = sum_taylor(zeta_em, 2 * mp.pi * x, 0)
     return val
 
 
 def _id_cos_limit(x):
-    lhs = _limit_series_em("cos", False, x)
+    lhs = _limit_series_em(False, x)
     notes = ("lhs: zeta(-2n) series with zeta from Euler-Maclaurin "
              "continuation; rhs: -1/2")
     return [("", lhs, mpf(-1) / 2)], notes
 
 
 def _id_alt_cos_limit(x):
-    lhs = _limit_series_em("cos", True, x)
+    lhs = _limit_series_em(True, x)
     notes = ("lhs: eta(-2n) series with eta from Euler-Maclaurin "
              "continuation; rhs: 1/2")
     return [("", lhs, mpf(1) / 2)], notes
@@ -209,10 +203,9 @@ def _id_bernoulli_odd(m):
 
 
 def _id_half_point_value(_):
-    def term(n):
-        return ((-1) ** (n + 1) * zeta_sderiv_at_negatives(2 * n + 1)
-                * mp.pi ** (2 * n + 1) / mp.factorial(2 * n + 1))
-    lhs, _n = sum_entire(term)
+    """lhs: sum_n (-1)^{n+1} zeta'(-(2n+1)) pi^{2n+1}/(2n+1)! by sum_taylor."""
+    lhs, _n = sum_taylor(
+        lambda n: -zeta_sderiv_at_negatives(2 * n + 1), mp.pi, 1)
     rhs = (euler_gamma() + mp.log(mp.pi)) / mp.pi
     notes = ("lhs: zeta'(-odd) series at the half point via the reflection "
              "substitution; rhs: (gamma + log pi)/pi")
@@ -224,19 +217,15 @@ def _log_cos_s1_closed(t):
     at s = 1, where the prefactor pole and the zeta(s) pole cancel:
     value = p2 + gamma1 - sum_{n>=1} (-1)^n zeta'(1-2n) (2 pi t)^{2n}/(2n)!
     with p2 the quadratic coefficient of e^{wL}/Gamma(1+w) * (piw/2)/sin(piw/2).
+    The sum is sum_taylor's at p = 2, with n shifted down by one.
     """
     if t > mpf(1) / 2:
         t = 1 - t  # cos(2 n pi t) is even about t = 1/2 termwise
     L = mp.log(2 * mp.pi * t)
     g = euler_gamma()
     p2 = L * L / 2 + g * L + g * g / 2 - mp.pi ** 2 / 24
-    w = 2 * mp.pi * t
-
-    def term(i):
-        n = i + 1
-        return ((-1) ** n * zeta_sderiv_at_negatives(2 * n - 1)
-                * mp.power(w, 2 * n) / mp.factorial(2 * n))
-    T, _ = sum_entire(term)
+    T, _ = sum_taylor(
+        lambda n: -zeta_sderiv_at_negatives(2 * n + 1), 2 * mp.pi * t, 2)
     return p2 + stieltjes_gamma1(1) - T
 
 
@@ -286,18 +275,14 @@ def _id_log_cos_limit(x):
 
 
 def _log_sin_s1_closed(t):
-    """sum_n log n sin(2 pi n t)/n from the s=1 derivative of the sine
-    closed form (regular there): -(pi/2)(gamma + log 2 pi t) - zeta'(-2n) tail."""
+    """sum_n log n sin(2 pi n t)/n from the s=1 derivative of the sine closed
+    form: -(pi/2)(gamma + log 2 pi t) less sum_taylor's zeta'(-2n) tail."""
     sign = mpf(1)
     if t > mpf(1) / 2:
         t, sign = 1 - t, mpf(-1)  # sin(2 n pi t) is odd about t = 1/2 termwise
     w = 2 * mp.pi * t
-
-    def term(n):
-        zp = (zeta_prime_at_zero() if n == 0
-              else zeta_sderiv_at_negatives(2 * n))
-        return (-1) ** n * zp * mp.power(w, 2 * n + 1) / mp.factorial(2 * n + 1)
-    T, _ = sum_entire(term)
+    T, _ = sum_taylor(lambda n: (zeta_sderiv_at_negatives(2 * n) if n
+                                 else zeta_prime_at_zero()), w, 1)
     return sign * (-mp.pi / 2 * (euler_gamma() + mp.log(w)) - T)
 
 

@@ -1,8 +1,8 @@
 """Generic summation utilities.
 
-A stopping-rule driven summer for rapidly decaying tails, polynomial
-Richardson extrapolation, and a series transform for slowly convergent
-oscillatory sums sum_n g(n) z^n with |z| <= 1, z != 1."""
+A stopping-rule driven summer for rapidly decaying tails and its stepped
+Taylor form, Richardson extrapolation, and a series transform for slowly
+convergent oscillatory sums sum_n g(n) z^n with |z| <= 1, z != 1."""
 
 from __future__ import annotations
 
@@ -22,12 +22,11 @@ def sum_entire(term: Callable[[int], mpf], cfg: EvalConfig | None = None):
 
     Stops once three consecutive terms fall below tolerance/100 in magnitude
     (parity-masked zero terms from sin/cos must not halt summation early).
-    Returns (compensated sum, terms_used).
+    Calls term with n = 0, 1, 2, ... in order. Returns (sum, terms_used).
     """
     with workprec(cfg):
         stop = tolerance() / 100
         acc = mpf(0)
-        comp = mpf(0)  # Kahan compensation
         small = 0
         n = 0
         while small < 3:
@@ -35,13 +34,26 @@ def sum_entire(term: Callable[[int], mpf], cfg: EvalConfig | None = None):
                 raise ConvergenceError(
                     f"series did not decay within {MAX_TERMS} terms")
             t = term(n)
-            y = t - comp
-            s = acc + y
-            comp = (s - acc) - y
-            acc = s
+            acc += t
             small = small + 1 if abs(t) < stop else 0
             n += 1
         return +acc, n
+
+
+def sum_taylor(c: Callable[[int], mpf], w, p: int,
+               cfg: EvalConfig | None = None):
+    """sum_{n>=0} (-1)^n c(n) w^{2n+p}/(2n+p)! through sum_entire, with the
+    monomial stepped, m_0 = w^p/p! and m_{n+1} = -m_n w^2/((2n+p+1)(2n+p+2)),
+    so no term takes a power or a factorial. Returns (sum, terms_used)."""
+    with workprec(cfg):
+        w = xreal(w)
+        w2, m = w * w, mp.power(w, p) / mp.factorial(p)
+
+        def term(n):
+            nonlocal m
+            t, m = c(n) * m, -m * w2 / ((2 * n + p + 1) * (2 * n + p + 2))
+            return t
+        return sum_entire(term)
 
 
 def richardson_extrapolate(samples: Sequence[tuple], order: int):

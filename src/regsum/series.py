@@ -23,7 +23,8 @@ from .config import EvalConfig, tolerance, workprec, xreal
 from .errors import (CapabilityError, ConvergenceError, DomainError,
                      PoleError, PrecisionLossWarning, RedirectError)
 from .gammafn import digamma, gamma_fn
-from .kernels import richardson_extrapolate, sum_entire, sum_oscillatory
+from .kernels import (richardson_extrapolate, sum_entire, sum_oscillatory,
+                      sum_taylor)
 from .zeta import (euler_gamma, log_two_pi, riemann_zeta, hurwitz_zeta_deriv,
                    zeta_sderiv_at_negatives)
 
@@ -131,17 +132,14 @@ def _half_point_value(kernel: str, weight: str, s: mpf) -> mpf:
 def _plain_tail(kernel: str, x: mpf, s: mpf):
     """sum_n (-1)^n zeta(s-2n-1) w^{2n+1}/(2n+1)!  (sin)
        sum_n (-1)^n zeta(s-2n)   w^{2n}/(2n)!      (cos),  w = 2 pi x,
-    less the zeta(1) term (sin at even s; integer_sin_series's head)."""
-    w = 2 * mp.pi * x
+    less the zeta(1) term (sin at even s; integer_sin_series's head), by
+    the stepped Taylor kernel sum_taylor."""
     p = 1 if kernel == "sin" else 0
 
-    def term(n):
+    def c(n):
         z = s - 2 * n - p
-        if z == 1:
-            return mpf(0)
-        return ((-1) ** n * riemann_zeta(z)
-                * mp.power(w, 2 * n + p) / mp.factorial(2 * n + p))
-    return sum_entire(term)
+        return mpf(0) if z == 1 else riemann_zeta(z)
+    return sum_taylor(c, 2 * mp.pi * x, p)
 
 
 def _prefactor(kernel: str, x: mpf, s: mpf) -> mpf:
@@ -187,11 +185,8 @@ def _plain_limit(kernel: str, weight: str, x: mpf) -> RegularizedValue:
         tail, n = _plain_tail(kernel, x, mpf(0))
     else:
         head = -(euler_gamma() + mp.log(w)) / w
-
-        def term(n):
-            return ((-1) ** (n + 1) * zeta_sderiv_at_negatives(2 * n + 1)
-                    * mp.power(w, 2 * n + 1) / mp.factorial(2 * n + 1))
-        tail, n = sum_entire(term)
+        tail, n = sum_taylor(
+            lambda n: -zeta_sderiv_at_negatives(2 * n + 1), w, 1)
     return RegularizedValue(+(sign * (head + tail)), "closed_form", +tol, n)
 
 
@@ -261,7 +256,8 @@ def closed_form_series(spec: SeriesSpec, cfg: EvalConfig | None = None) -> Regul
 # --------------------------------------------------------------------------
 
 def log_cos_limit_series(x, cfg: EvalConfig | None = None) -> mpf:
-    """Power-series route for lim_{s->0} sum log n cos(2 n pi x)/n^s:
+    """Power-series route for lim_{s->0} sum log n cos(2 n pi x)/n^s, its
+    powers of x stepped by x^2 from term to term:
 
         -1/(4x) + log(2 pi)/2 - (1/2) sum_{n>=1} zeta(2n+1) x^{2n}
     """
@@ -270,8 +266,13 @@ def log_cos_limit_series(x, cfg: EvalConfig | None = None) -> mpf:
         if not (0 < x < 1):
             raise DomainError("x must lie in (0, 1)")
         x, _ = _mirror("cos", x)
-        acc, _ = sum_entire(
-            lambda n: riemann_zeta(2 * n + 3) * x ** (2 * n + 2))
+        x2 = xp = x * x  # xp = x^{2n+2} for term n
+
+        def term(n):
+            nonlocal xp
+            t, xp = riemann_zeta(2 * n + 3) * xp, xp * x2
+            return t
+        acc, _ = sum_entire(term)
         return +(-1 / (4 * x) + log_two_pi() / 2 - acc / 2)
 
 

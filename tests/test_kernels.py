@@ -1,11 +1,17 @@
-"""The rapid-tail summer, Richardson extrapolation, the oscillatory transform."""
+"""The rapid-tail summer and its Taylor form, Richardson extrapolation, the
+oscillatory transform."""
+
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
 from regsum import (ArityError, ConvergenceError, DomainError,
-                    DEFAULT_CONFIG, kernels, richardson_extrapolate,
-                    riemann_zeta, sum_entire, sum_oscillatory, workprec)
+                    DEFAULT_CONFIG, EvalConfig, SeriesSpec,
+                    closed_form_series, kernels, regularized_limit,
+                    richardson_extrapolate, riemann_zeta, sum_entire,
+                    sum_oscillatory, sum_taylor, workprec)
+from regsum.config import tolerance
 
 from refs import catalan
 
@@ -42,6 +48,40 @@ def test_sum_entire_zeta_tail():
                     * w ** (2 * n + 1) / mp.factorial(2 * n + 1))
         val, _ = sum_entire(term, CFG)
         assert abs(val - (mpf(1) / 2 - 2 / mp.pi)) < TOL
+
+
+def test_sum_entire_terms_of_the_closed_forms():
+    # the stop rule as the closed forms' zeta tails see it
+    spec = SeriesSpec("sin", Fraction(5, 16), Fraction(27, 8))
+    assert closed_form_series(spec, EvalConfig(50)).terms_used == 22
+    spec = SeriesSpec("sin", Fraction(5, 16), 0, weight="log")
+    assert regularized_limit(spec).terms_used == 25
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100])
+def test_sum_taylor_trig(digits):
+    # c = 1: sin w (p = 1), cos w (p = 0) and 1 - cos w (p = 2)
+    cfg = EvalConfig(digits)
+    with workprec(cfg):
+        for w in (mpf("1e-3"), mpf(1), +mp.pi):
+            for p, ref in ((1, mp.sin(w)), (0, mp.cos(w)),
+                           (2, 1 - mp.cos(w))):
+                val, _ = sum_taylor(lambda n: mpf(1), w, p)
+                assert abs(val - ref) < tolerance(cfg), (w, p)
+
+
+def test_sum_taylor_zeta_tail():
+    # the stepped monomial against termwise powers and factorials
+    with workprec(CFG):
+        w = mp.pi / 2
+
+        def term(n):
+            return ((-1) ** n * riemann_zeta(-2 * n - 1)
+                    * mp.power(w, 2 * n + 1) / mp.factorial(2 * n + 1))
+        ref, n_ref = sum_entire(term)
+        val, n = sum_taylor(lambda n: riemann_zeta(-2 * n - 1), w, 1)
+        assert abs(val - ref) < tolerance(CFG)
+        assert n == n_ref
 
 
 def test_sum_entire_nondecay_raises(monkeypatch):
