@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
 from .config import EvalConfig, tolerance, workprec, xreal
 from .errors import ArityError, ConvergenceError, DomainError
@@ -85,7 +86,8 @@ def richardson_extrapolate(samples: Sequence[tuple], order: int):
 
 
 def sum_oscillatory(g: Callable[[int], mpf], z, tol):
-    """sum_{n>=1} g(n) z^n for |z| <= 1, z != 1, g smooth and slowly varying.
+    """sum_{n>=1} g(n) z^n for |z| <= 1, z != 1, g real-valued, smooth and
+    slowly varying.
 
     Direct head summation up to a split point N, then the forward-difference
     (Euler) transform of the tail,
@@ -93,9 +95,15 @@ def sum_oscillatory(g: Callable[[int], mpf], z, tol):
         sum_{n>=N} g(n) z^n = z^N/(1-z) * sum_k (z/(1-z))^k D^k g(N),
 
     which converges geometrically once N is large relative to |z/(1-z)|.
-    The split point is advanced adaptively when the transform stalls.
+    The head takes g at the caller's precision, the transform at 80 more
+    digits. There each g value is truncated to a multiple of 2^-bits, a few
+    bits finer than that precision, and the differences D^k are taken
+    exactly on those integers. The sum stops after three terms below tol,
+    compared as squared magnitudes; it stalls once a term's magnitude
+    exceeds 10^6 times the least so far, and then the split point advances.
     Returns (value, terms_used); the value is complex when z is.
     """
+    z = mp.mpmathify(z)
     one_minus = 1 - z
     if one_minus == 0:
         raise DomainError("z = 1 is outside the transform's domain")
@@ -103,6 +111,8 @@ def sum_oscillatory(g: Callable[[int], mpf], z, tol):
     max_diffs = 200
     # Digits lost to difference-table cancellation grow like k*log10(2).
     extra_dps = int(max_diffs * 0.35) + 10
+    tol2 = tol * tol
+    complex_z = isinstance(z, mp.mpc)
 
     head = z * 0
     zpow = z  # z^n for the next head term
@@ -120,29 +130,36 @@ def sum_oscillatory(g: Callable[[int], mpf], z, tol):
             n += 1
             terms_used += 1
         with mp.extradps(extra_dps):
+            bits = mp.prec + 8
             pref = zpow / one_minus  # z^split / (1-z)
             acc = z * 0
             upow = pref
-            row: list = []  # row[i] = D^i g at sliding offsets; row[-1] = D^j g(split)
+            # row[i] = D^i g at sliding offsets, times 2^bits;
+            # row[-1] = D^j g(split)
+            row: list[int] = []
             small = 0
             best = mpf("inf")
             for j in range(max_diffs + 1):
-                v = g(split + j)
+                v = to_fixed(mpf(g(split + j))._mpf_, bits)
                 terms_used += 1
                 new = [v]
                 for i in range(len(row)):
                     new.append(new[i] - row[i])
                 row = new
-                term = row[-1] * upow
+                term = mpf((row[-1], -bits)) * upow
                 acc += term
                 upow *= u
-                mag = abs(term)
-                small = small + 1 if mag < tol else 0
+                if complex_z:
+                    re, im = term.real, term.imag
+                    mag2 = re * re + im * im
+                else:
+                    mag2 = term * term
+                small = small + 1 if mag2 < tol2 else 0
                 if small >= 3:
                     return +(head + acc), terms_used
-                if mag < best:
-                    best = mag
-                elif j > 24 and mag > best * 10**6:
+                if mag2 < best:
+                    best = mag2
+                elif j > 24 and mag2 > best * 10**12:
                     break
         # Transform stalled (or ran out of difference orders): grow the head.
         headlen *= 2

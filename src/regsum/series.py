@@ -381,7 +381,9 @@ def abel_oracle(spec: SeriesSpec, cfg: EvalConfig | None = None) -> RegularizedV
     forward-difference transform of its tail (to below tolerance/20), and
     the limit is taken by Richardson extrapolation. The error estimate is
     the extrapolation's own plus ten times that tail allowance, so half the
-    tolerance is left to the extrapolation.
+    tolerance is left to the extrapolation. The radii share their terms:
+    each w(n) n^-s is computed once per call and precision, and nothing is
+    kept between calls.
     """
     with workprec(cfg):
         x = xreal(spec.x)
@@ -398,12 +400,23 @@ def abel_oracle(spec: SeriesSpec, cfg: EvalConfig | None = None) -> RegularizedV
                 "x = 1/2")
         wfn = _weight_fn(spec.weight)
         if s == 0:
-            g = wfn
+            term = wfn
         elif _is_int(s):
             si = int(s)
-            g = (lambda n: wfn(n) / mpf(n) ** si)
+            term = (lambda n: wfn(n) / mpf(n) ** si)
         else:
-            g = (lambda n: wfn(n) * mp.power(n, -s))
+            term = (lambda n: wfn(n) * mp.power(n, -s))
+        # every radius asks for the same terms, at the working precision in
+        # the head and at the transform's in the tail: take each once
+        memo: dict[tuple[int, int], mpf] = {}
+
+        def g(n):
+            key = (n, mp.prec)
+            v = memo.get(key)
+            if v is None:
+                v = memo[key] = term(n)
+            return v
+
         z0 = mp.expjpi(2 * x)
         tol = tolerance() / 20
         samples = []

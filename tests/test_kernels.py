@@ -11,9 +11,9 @@ from regsum import (ArityError, ConvergenceError, DomainError,
                     closed_form_series, kernels, regularized_limit,
                     richardson_extrapolate, riemann_zeta, sum_entire,
                     sum_oscillatory, sum_taylor, workprec)
-from regsum.config import tolerance
+from regsum.config import tolerance, xreal
 
-from refs import catalan
+from refs import catalan, polylog_log_weight
 
 CFG = DEFAULT_CONFIG
 TOL = mpf("1e-20")
@@ -147,3 +147,36 @@ def test_sum_oscillatory_budget(monkeypatch):
         z = mp.expjpi(mpf(2) / 1000) * (1 - mpf(2) ** -20)
         with pytest.raises(ConvergenceError):
             sum_oscillatory(lambda n: mp.log(n), z, mpf("1e-30"))
+
+
+# terms_used of each case below, pinned: the exact fixed-point difference
+# table and the squared-magnitude stop take the terms that an mpf table and
+# an abs() stop take. digits -> ((1/n^2 at x = 1/8, 3/10, 7/10),
+# (log n/n at the same x), (-1)^n log n/n)
+_OSC_TERMS = {
+    50: ((85, 68, 68), (82, 68, 68), 67),
+    100: ((492, 175, 175), (489, 174, 174), 149),
+    200: ((1497, 902, 902), (1498, 902, 902), 884),
+}
+
+
+@pytest.mark.parametrize(
+    "digits", [50, 100, pytest.param(200, marks=pytest.mark.slow)])
+def test_sum_oscillatory_against_polylogs(digits):
+    cfg = EvalConfig(digits)
+    plain, logw, alt = _OSC_TERMS[digits]
+    with workprec(cfg):
+        tol = tolerance() / 10
+        for x, n2, n1 in zip((Fraction(1, 8), Fraction(3, 10),
+                              Fraction(7, 10)), plain, logw):
+            z = mp.expjpi(2 * xreal(x))
+            val, n = sum_oscillatory(lambda n: 1 / mpf(n) ** 2, z, tol)
+            assert abs(val - mp.polylog(2, z)) < tol, x
+            assert n == n2, x
+            val, n = sum_oscillatory(lambda n: mp.log(n) / n, z, tol)
+            assert abs(val - polylog_log_weight(xreal(x), 1, 1)) < tol, x
+            assert n == n1, x
+        # real z: sum (-1)^n log n/n = -eta'(1) = gamma log 2 - log^2 2/2
+        val, n = sum_oscillatory(lambda n: mp.log(n) / n, mpf(-1), tol)
+        assert abs(val - (mp.euler * mp.log(2) - mp.log(2) ** 2 / 2)) < tol
+        assert n == alt

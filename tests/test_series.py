@@ -13,10 +13,11 @@ from regsum import (CapabilityError, DEFAULT_CONFIG, DomainError, EvalConfig,
                     evaluate_series, gamma_fn, integer_cos_series,
                     integer_sin_series, log_cos_limit_series,
                     regularized_limit, riemann_zeta, workprec)
-from regsum.config import tolerance, working_dps
+from regsum import series
+from regsum.config import tolerance, working_dps, xreal
 
-from refs import (catalan, eta_tail, hurwitz_series, seeded_uniforms,
-                  sin_log_limit)
+from refs import (catalan, eta_tail, hurwitz_series, polylog_log_weight,
+                  seeded_uniforms, sin_log_limit)
 
 CFG = DEFAULT_CONFIG
 
@@ -445,6 +446,61 @@ def test_abel_route_flags_a_missed_tolerance():
         warnings.simplefilter("error")
         rv = evaluate_series(spec, CFG)
     assert rv.method == "abel" and rv.error_estimate <= tolerance(CFG)
+
+
+def test_abel_takes_each_term_once(monkeypatch):
+    # the 13 radii share their terms: one weight call per (n, precision);
+    # the value, terms_used and estimate are pinned to those of radii that
+    # each computed every term themselves
+    calls = {}
+    weight_fn = series._weight_fn
+
+    def counting(weight):
+        w = weight_fn(weight)
+
+        def counted(n):
+            key = (n, mp.prec)
+            calls[key] = calls.get(key, 0) + 1
+            return w(n)
+        return counted
+
+    monkeypatch.setattr(series, "_weight_fn", counting)
+    spec = SeriesSpec("sin", Fraction(3, 10), Fraction(1, 2), weight="log")
+    cfg = EvalConfig(50)
+    rv = abel_oracle(spec, cfg)
+    assert calls and set(calls.values()) == {1}
+    assert len({prec for _, prec in calls}) == 2  # head and transform
+    assert rv.terms_used == 893
+    with workprec(cfg):
+        assert rv.value == mpf(
+            "-0.264866830738341224901935799462286042131033436044832348387270"
+            "2040077940732605117809849269352729798614")
+        assert rv.error_estimate == mpf(
+            "5.000001227156504265332961198736539543085633040287426100737400"
+            "217123969781857365577274006934946715207e-21")
+
+
+@pytest.mark.parametrize("digits", [50, 100])
+def test_abel_error_estimates_hold(digits):
+    # log and log^2 weights at integer s against mpmath's Hurwitz zeta
+    # derivatives; at 100 digits the estimate misses the tolerance and the
+    # route says so
+    cfg = EvalConfig(digits)
+    with workprec(cfg):
+        for kernel in ("sin", "cos"):
+            for k, weight in ((1, "log"), (2, "log2")):
+                for s in (1, 2):
+                    for x in (Fraction(3, 10), Fraction(7, 10)):
+                        spec = SeriesSpec(kernel, x, s, weight=weight)
+                        rv = abel_oracle(spec)
+                        ref = polylog_log_weight(xreal(x), s, k)
+                        ref = ref.imag if kernel == "sin" else ref.real
+                        assert abs(rv.value - ref) <= rv.error_estimate, spec
+                        if digits == 100:
+                            with pytest.warns(PrecisionLossWarning,
+                                              match="Abel"):
+                                assert (evaluate_series(spec).value
+                                        == rv.value)
 
 
 def test_direct_empty_sum():
