@@ -19,7 +19,7 @@ from .identities import (REGISTRY, IdentityReport, polylog_unimodular,
 from .kernels import (richardson_extrapolate, sum_entire, sum_oscillatory,
                       sum_taylor)
 from .series import (RegularizedValue, SeriesSpec, abel_oracle,
-                     closed_form_series, direct_oracle, evaluate_series,
+                     closed_form_series, evaluate_series,
                      integer_cos_series, integer_sin_series,
                      log_cos_limit_series, regularized_limit)
 from .zeta import (LaurentCoeffs, euler_gamma, eta, hurwitz_zeta_deriv,
@@ -37,7 +37,7 @@ __all__ = [
     "RedirectError", "RegsumError", "RegularizedValue", "SeriesSpec",
     "UnknownIdentityError", "abel_oracle", "bernoulli_number",
     "bernoulli_poly_coeffs", "closed_form_series", "digamma",
-    "direct_oracle", "eta", "euler_gamma", "evaluate_series", "gamma_fn",
+    "eta", "euler_gamma", "evaluate_series", "gamma_fn",
     "harmonic_number", "hurwitz_zeta_deriv", "integer_cos_series",
     "integer_sin_series", "laurent_coefficients", "log_cos_limit_series",
     "loggamma", "phi_ramanujan", "poly_eval", "polylog_unimodular",

@@ -4,10 +4,15 @@ All real-valued quantities are carried as ``mpmath.mpf`` values, with
 :data:`GUARD_DIGITS` beyond the reporting precision of :class:`EvalConfig`.
 The outermost regsum call sets ``mp.dps`` through :func:`workprec`; nested
 calls inherit it, so a missing ``cfg`` can never lower the precision.
+
+Caching has one rule, :func:`memo`: a value is kept per (arguments,
+``mp.prec``), at most :data:`CACHE_CAP` per function, least recently used
+first out, with hits and misses counted by ``cache_info()``.
 """
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -18,7 +23,7 @@ from mpmath import mp, mpf
 # Intermediate computations carry this many digits beyond reporting precision.
 GUARD_DIGITS = 15
 
-# Entries kept by each module-level value cache before the oldest is evicted.
+# Entries kept by each memo before the least recently used is evicted.
 CACHE_CAP = 4096
 
 
@@ -80,8 +85,20 @@ def xreal(value) -> mpf:
     return mpf(value)
 
 
-def cache_put(cache: dict, key, value) -> None:
-    """Store *value*, evicting the oldest entry once *cache* holds CACHE_CAP."""
-    if len(cache) >= CACHE_CAP:
-        del cache[next(iter(cache))]
-    cache[key] = value
+def memo(fn):
+    """Cache *fn* per (positional arguments, mp.prec): at most CACHE_CAP
+    values, least recently used first out, counted by ``cache_info()``.
+
+    The wrapper is a plain function, so tools that rebind a module's public
+    functions still see it; *fn* calls others by their module-global names.
+    """
+    @functools.lru_cache(maxsize=CACHE_CAP)
+    def cached(prec, *args):
+        return fn(*args)
+
+    @functools.wraps(fn)
+    def wrapper(*args):
+        return cached(mp.prec, *args)
+
+    wrapper.cache_info = cached.cache_info
+    return wrapper

@@ -18,7 +18,7 @@ from math import comb
 from mpmath import mp, mpf, mpc
 
 from .bernoulli import bernoulli_number, bernoulli_poly_coeffs, poly_eval
-from .config import EvalConfig, cache_put, tolerance, workprec, xreal
+from .config import EvalConfig, memo, tolerance, workprec, xreal
 from .errors import CapabilityError, DomainError, UnknownIdentityError
 from .gammafn import digamma, loggamma
 from .kernels import sum_oscillatory, sum_taylor
@@ -93,16 +93,10 @@ def polylog_unimodular(order: int, x, cfg: EvalConfig | None = None):
 # is a list of (label, lhs, rhs); the report folds the worst residual.
 # --------------------------------------------------------------------------
 
-_G1_ORACLE_CACHE: dict[tuple, mpf] = {}
-
-
+@memo
 def _gamma1_oracle(x: mpf) -> mpf:
-    key = (x, mp.dps)
-    v = _G1_ORACLE_CACHE.get(key)
-    if v is None:
-        v = stieltjes_gamma1_limit(x)
-        cache_put(_G1_ORACLE_CACHE, key, v)
-    return v
+    """gamma1 by the limit formula; symmetric grids reuse it at x and 1 - x."""
+    return stieltjes_gamma1_limit(x)
 
 
 def _cot_pi(x: mpf) -> mpf:
@@ -419,8 +413,9 @@ def verify_identity(name: str, point=None,
             subs, notes = defn.evaluate(x)
         elif defn.point_kind == "int":
             m = None if point is None else int(point)
-            if m is not None and not (0 <= m <= 20):
-                raise DomainError(f"{name} expects integer m <= 20")
+            if m is not None and (isinstance(point, bool) or m != point
+                                  or not 0 <= m <= 20):
+                raise DomainError(f"{name} expects an integer 0 <= m <= 20")
             if m is not None:
                 inputs = [("m", xreal(m))]
             subs, notes = defn.evaluate(m)

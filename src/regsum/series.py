@@ -6,9 +6,9 @@ The alternating factor is a phase, (-1)^{n+1} trig(2 n pi x) =
 by half a period and every route below evaluates a plain series. Closed
 forms evaluate the analytic continuation in the exponent s; the s -> 0
 limits return the regularized values of the divergent cases; exact integer
-exponents go through Bernoulli-Fourier / Hurwitz-derivative branches. Two
-independent oracles (Abel summation with Richardson extrapolation, and
-Cesaro-averaged direct partial sums) provide ground truth for every regime.
+exponents go through Bernoulli-Fourier / Hurwitz-derivative branches. The
+Abel oracle (Abel summation with Richardson extrapolation) is independent of
+every closed form and is the route for log weights at s > 0.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class RegularizedValue:
     """A computed series value with method tag and effort diagnostics."""
 
     value: mpf
-    method: str  # closed_form | abel | direct | integer_branch
+    method: str  # closed_form | abel | integer_branch
     error_estimate: mpf
     terms_used: int = 0
 
@@ -369,7 +369,7 @@ def integer_cos_series(x, s: int, cfg: EvalConfig | None = None) -> RegularizedV
 
 
 # --------------------------------------------------------------------------
-# Oracles
+# Abel oracle
 # --------------------------------------------------------------------------
 
 def abel_oracle(spec: SeriesSpec, cfg: EvalConfig | None = None) -> RegularizedValue:
@@ -438,52 +438,6 @@ def abel_oracle(spec: SeriesSpec, cfg: EvalConfig | None = None) -> RegularizedV
             raise ConvergenceError(
                 "Abel extrapolation did not converge toward r = 1")
         return RegularizedValue(+value, "abel", +(est + 10 * tol), total)
-
-
-def direct_oracle(spec: SeriesSpec, N: int, cfg: EvalConfig | None = None) -> RegularizedValue:
-    """Ground truth by partial sums, Cesaro-averaging the last ceil(sqrt(N))
-    partial sums to damp the oscillatory tail.
-
-    Needs s > 0: the series converges conditionally for 0 < s <= 1 (Dirichlet
-    test) and absolutely for s > 1; the error estimate reflects the O(N^-s)
-    tail scale.
-    """
-    with workprec(cfg):
-        x = xreal(spec.x)
-        s = xreal(spec.s)
-        if s <= 0:
-            raise DomainError("direct_oracle requires s > 0")
-        if N < 0:
-            raise DomainError("N must be >= 0")
-        if N == 0:
-            return RegularizedValue(mpf(0), "direct", mpf("inf"), 0)
-        M = int(mp.ceil(mp.sqrt(N)))
-        wfn = _weight_fn(spec.weight)
-        use_sin = spec.kernel == "sin"
-        int_s = _is_int(s)
-        si = int(s) if int_s else 0
-        c1 = mp.cospi(2 * x)
-        s1 = mp.sinpi(2 * x)
-        c, sn = mpf(1), mpf(0)  # cos/sin of 2 pi n x, n = 0
-        partial = mpf(0)
-        window = mpf(0)
-        alt = spec.alternating
-        for n in range(1, N + 1):
-            c, sn = c * c1 - sn * s1, sn * c1 + c * s1
-            trig = sn if use_sin else c
-            if int_s:
-                term = wfn(n) * trig / mpf(n ** si) if spec.weight != "unit" \
-                    else trig / mpf(n ** si)
-            else:
-                term = wfn(n) * trig * mp.power(n, -s)
-            if alt and n % 2 == 0:
-                term = -term
-            partial += term
-            if n > N - M:
-                window += partial
-        value = window / M
-        est = 4 * mp.power(N, -s) * (1 + mp.log(N))
-        return RegularizedValue(+value, "direct", +est, N)
 
 
 # --------------------------------------------------------------------------

@@ -21,6 +21,9 @@ smallest N that pushes the first omitted correction, bounded through
 |B_{2j}|/(2j)! ~ 2/(2pi)^{2j}, below the working tolerance follows in
 closed form; the (N, M) of least cost wins. The omitted term itself is
 returned as a conservative error bound where callers need one.
+
+B_{2j}/(2j)!, the Laurent coefficients, log 2pi, zeta(s) and zeta'(-j) are
+each kept per (arguments, precision) by config.memo, the one cache rule.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .bernoulli import BERNOULLI_INDEX_CAP, bernoulli_number
-from .config import EvalConfig, cache_put, tolerance, workprec, xreal
+from .config import EvalConfig, memo, tolerance, workprec, xreal
 from .errors import (ConvergenceError, DomainError, PoleError,
                      PrecisionLossWarning)
 
@@ -93,17 +96,10 @@ def _em_params(sigma: float, a: float, kmax: int, digits: int) -> tuple[int, int
     return best[1], best[2]
 
 
-_BETA_CACHE: dict[tuple[int, int], mpf] = {}
-
-
+@memo
 def _beta(j: int) -> mpf:
     """B_{2j} / (2j)! at the current precision."""
-    key = (j, mp.prec)
-    v = _BETA_CACHE.get(key)
-    if v is None:
-        v = xreal(bernoulli_number(2 * j) / math.factorial(2 * j))
-        cache_put(_BETA_CACHE, key, v)
-    return v
+    return xreal(bernoulli_number(2 * j) / math.factorial(2 * j))
 
 
 def _em_taylor(s0, a: mpf, K: int, N: int, M: int) -> list[mpf]:
@@ -188,28 +184,18 @@ def _em_zeta_derivs(s: mpf, a: mpf, kmax: int) -> list[mpf]:
 # Laurent expansion about s = 1 (generalized Stieltjes machinery)
 # --------------------------------------------------------------------------
 
-# (a, dps, order) -> (coeffs list, error bound)
-_LAURENT_CACHE: dict[tuple, tuple[list[mpf], mpf]] = {}
-
-
+@memo
 def _laurent_wcoeffs(a: mpf, order: int) -> tuple[list[mpf], mpf]:
-    """Coefficients c_0..c_order of zeta(1+w, a) - 1/w in powers of w.
-
-    gamma_n(a) = (-1)^n n! c_n. Cached per (a, precision, order).
+    """Coefficients c_0..c_order of zeta(1+w, a) - 1/w in powers of w, and
+    an error bound; gamma_n(a) = (-1)^n n! c_n.
     """
-    key = (a, mp.dps, order)
-    hit = _LAURENT_CACHE.get(key)
-    if hit is not None:
-        return hit
     N, M = _em_params(1.0, float(a), 0, mp.dps + 8)
     c = _em_taylor(1, a, order, N, M)
     # error bound from the first omitted correction term; the coefficients
     # of (1+w)...(2M+1+w) sum to its value at w = 1, (2M+2)!
     bound = (abs(_beta(M + 1)) * mp.power(N + a, -(2 * M + 2))
              * mp.factorial(2 * M + 2) * 4)
-    out = ([+v for v in c], +bound)
-    cache_put(_LAURENT_CACHE, key, out)
-    return out
+    return [+v for v in c], +bound
 
 
 def _hurwitz_near_one(k: int, s: mpf, a: mpf) -> mpf:
@@ -227,36 +213,22 @@ def _hurwitz_near_one(k: int, s: mpf, a: mpf) -> mpf:
 
 
 # --------------------------------------------------------------------------
-# Constants and caches
+# Constants and zeta values
 # --------------------------------------------------------------------------
-
-_CONST_CACHE: dict[tuple, mpf] = {}
-
 
 def euler_gamma(cfg: EvalConfig | None = None) -> mpf:
     """Euler's constant, extracted from the Laurent machinery at a = 1."""
     with workprec(cfg):
-        key = ("gamma", mp.dps)
-        v = _CONST_CACHE.get(key)
-        if v is None:
-            c, _ = _laurent_wcoeffs(mpf(1), 2)
-            v = +c[0]
-            cache_put(_CONST_CACHE, key, v)
-        return v
+        c, _ = _laurent_wcoeffs(mpf(1), 2)
+        return +c[0]
 
 
+@memo
 def log_two_pi() -> mpf:
-    key = ("log2pi", mp.dps)
-    v = _CONST_CACHE.get(key)
-    if v is None:
-        v = mp.log(2 * mp.pi)
-        cache_put(_CONST_CACHE, key, v)
-    return v
+    return mp.log(2 * mp.pi)
 
 
-_RZ_CACHE: dict[tuple, mpf] = {}
-
-
+@memo
 def _rz(s: mpf) -> mpf:
     """Riemann zeta at the current working precision (s != 1).
 
@@ -264,10 +236,6 @@ def _rz(s: mpf) -> mpf:
     even integers up to BERNOULLI_INDEX_CAP, Euler-Maclaurin at every other
     s > 0, -1/2 at 0 and the functional equation at s < 0 but the zeros.
     """
-    key = (s, mp.dps)
-    hit = _RZ_CACHE.get(key)
-    if hit is not None:
-        return hit
     if abs(s - 1) < mpf("0.1"):
         v = _hurwitz_near_one(0, s, mpf(1))
     elif s > 0:
@@ -286,9 +254,7 @@ def _rz(s: mpf) -> mpf:
         # functional equation: zeta(s) = 2^s pi^{s-1} sin(pi s/2) Gamma(1-s) zeta(1-s)
         v = (mp.power(2, s) * mp.power(mp.pi, s - 1) * mp.sin(mp.pi * s / 2)
              * mp.gamma(1 - s) * _rz(1 - s))
-    v = +v
-    cache_put(_RZ_CACHE, key, v)
-    return v
+    return +v
 
 
 def riemann_zeta(s, cfg: EvalConfig | None = None) -> mpf:
@@ -343,9 +309,6 @@ def zeta_prime_at_zero(cfg: EvalConfig | None = None) -> mpf:
         return -log_two_pi() / 2
 
 
-_ZPN_CACHE: dict[tuple, mpf] = {}
-
-
 def zeta_sderiv_at_negatives(j: int, cfg: EvalConfig | None = None) -> mpf:
     """zeta'(-j) for integer j >= 1.
 
@@ -358,23 +321,20 @@ def zeta_sderiv_at_negatives(j: int, cfg: EvalConfig | None = None) -> mpf:
     if j < 1:
         raise DomainError("zeta_sderiv_at_negatives requires j >= 1")
     with workprec(cfg):
-        key = (j, mp.dps)
-        hit = _ZPN_CACHE.get(key)
-        if hit is not None:
-            return hit
-        if j % 2 == 0:
-            n = j // 2
-            v = ((-1) ** n * mpf(math.factorial(2 * n))
+        return _zpn(j)
+
+
+@memo
+def _zpn(j: int) -> mpf:
+    if j % 2 == 0:
+        n = j // 2
+        return +((-1) ** n * mpf(math.factorial(2 * n))
                  / (2 * (2 * mp.pi) ** (2 * n)) * _rz(xreal(2 * n + 1)))
-        else:
-            k = (j + 1) // 2
-            z, zp = _em_zeta_derivs(xreal(2 * k), mpf(1), 1)
-            v = ((-1) ** (k + 1) * 2 * mp.factorial(2 * k - 1)
-                 / (2 * mp.pi) ** (2 * k)
-                 * (zp + z * (mp.digamma(2 * k) - log_two_pi())))
-        v = +v
-        cache_put(_ZPN_CACHE, key, v)
-        return v
+    k = (j + 1) // 2
+    z, zp = _em_zeta_derivs(xreal(2 * k), mpf(1), 1)
+    return +((-1) ** (k + 1) * 2 * mp.factorial(2 * k - 1)
+             / (2 * mp.pi) ** (2 * k)
+             * (zp + z * (mp.digamma(2 * k) - log_two_pi())))
 
 
 # --------------------------------------------------------------------------

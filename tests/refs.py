@@ -3,9 +3,9 @@
 Everything here stays independent of the library code paths it is used to
 check: the Bernoulli oracle is a different algorithm (Akiyama-Tanigawa),
 quadrature is a self-contained Romberg tableau, the series references are
-mpmath's Hurwitz zeta and the printed eta-tail form (which the library's
-closed forms no longer use), and the constants are well-known published
-decimal expansions.
+mpmath's Hurwitz zeta and Clausen functions and the printed eta-tail form
+(which the library's closed forms no longer use), and the constants are
+well-known published decimal expansions.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from regsum import eta
+from regsum.config import working_dps
 
 # Published decimal expansions (90 digits).  Kept as strings: mpf parsing
 # happens at the caller's working precision, never at import time.
@@ -127,6 +128,13 @@ def hurwitz_series(kernel: str, x, s) -> mpf:
     if kernel == "sin":
         return mp.power(2 * mp.pi, s) * (a - b) / (4 * mp.gamma(s) * mp.sinpi(s / 2))
     return mp.power(2 * mp.pi, s) * (a + b) / (4 * mp.gamma(s) * mp.cospi(s / 2))
+
+
+def clausen(kernel: str, x, s, cfg) -> mpf:
+    """sum_n trig(2 n pi x)/n^s by mpmath's Clausen functions clsin/clcos,
+    at 40 digits beyond cfg's working precision."""
+    with mp.workdps(working_dps(cfg) + 40):
+        return (mp.clsin if kernel == "sin" else mp.clcos)(s, 2 * mp.pi * x)
 
 
 def sin_log_limit(x) -> mpf:

@@ -9,15 +9,15 @@ from mpmath import mp, mpf
 
 from regsum import (CapabilityError, DEFAULT_CONFIG, DomainError, EvalConfig,
                     PoleError, PrecisionLossWarning, RedirectError, SeriesSpec,
-                    abel_oracle, closed_form_series, direct_oracle,
-                    evaluate_series, gamma_fn, integer_cos_series,
-                    integer_sin_series, log_cos_limit_series,
+                    abel_oracle, closed_form_series, evaluate_series,
+                    gamma_fn, integer_cos_series, integer_sin_series,
+                    log_cos_limit_series,
                     regularized_limit, riemann_zeta, workprec)
 from regsum import series
 from regsum.config import tolerance, working_dps, xreal
 
-from refs import (catalan, eta_tail, hurwitz_series, polylog_log_weight,
-                  seeded_uniforms, sin_log_limit)
+from refs import (catalan, clausen, eta_tail, hurwitz_series,
+                  polylog_log_weight, seeded_uniforms, sin_log_limit)
 
 CFG = DEFAULT_CONFIG
 
@@ -50,8 +50,8 @@ def test_closed_form_fractional_s_vs_oracles():
         cf = closed_form_series(spec, CFG)
         ab = abel_oracle(spec, CFG)
         assert abs(cf.value - ab.value) < mpf("1e-6")
-        dr = direct_oracle(spec, 2 * 10 ** 5, CFG)
-        assert abs(cf.value - dr.value) < mpf("1e-5")
+        ref = clausen("sin", spec.x, spec.s, CFG)
+        assert abs(cf.value - ref) <= tolerance(CFG)
 
 
 def test_closed_form_cos_s2_bernoulli_value():
@@ -59,8 +59,8 @@ def test_closed_form_cos_s2_bernoulli_value():
     with workprec(CFG):
         cf = closed_form_series(SeriesSpec("cos", mpf("0.25"), 2), CFG)
         assert abs(cf.value + mp.pi ** 2 / 48) < mpf("1e-20")
-        dr = direct_oracle(SeriesSpec("cos", mpf("0.25"), 2), 10 ** 5, CFG)
-        assert abs(cf.value - dr.value) < mpf("1e-7")
+        ref = clausen("cos", mpf("0.25"), 2, CFG)
+        assert abs(cf.value - ref) <= tolerance(CFG)
 
 
 def test_closed_form_alternating_vs_abel():
@@ -352,16 +352,16 @@ def test_integer_sin_cubic():
     with workprec(CFG):
         rv = integer_sin_series(mpf("0.25"), 3, CFG)
         assert abs(rv.value - mp.pi ** 3 / 32) < mpf("1e-20")
-        dr = direct_oracle(SeriesSpec("sin", mpf("0.25"), 3), 10 ** 5, CFG)
-        assert abs(rv.value - dr.value) < mpf("1e-8")
+        ref = clausen("sin", mpf("0.25"), 3, CFG)
+        assert abs(rv.value - ref) <= tolerance(CFG)
 
 
 def test_integer_sin_even_branch_catalan():
     with workprec(CFG):
         rv = integer_sin_series(mpf("0.25"), 2, CFG)
         assert abs(rv.value - catalan()) < mpf("1e-8")
-        dr = direct_oracle(SeriesSpec("sin", mpf("0.25"), 2), 10 ** 5, CFG)
-        assert abs(rv.value - dr.value) < mpf("1e-8")
+        ref = clausen("sin", mpf("0.25"), 2, CFG)
+        assert abs(rv.value - ref) <= tolerance(CFG)
 
 
 # the ends, and x where w = 2 pi x reaches pi after the mirror, so the
@@ -407,8 +407,8 @@ def test_integer_cos_log_sine_reduction():
 def test_integer_cos_cubic_vs_direct():
     with workprec(CFG):
         rv = integer_cos_series(mpf("0.3"), 3, CFG)
-        dr = direct_oracle(SeriesSpec("cos", mpf("0.3"), 3), 10 ** 5, CFG)
-        assert abs(rv.value - dr.value) < mpf("1e-8")
+        ref = clausen("cos", mpf("0.3"), 3, CFG)
+        assert abs(rv.value - ref) <= tolerance(CFG)
 
 
 def test_integer_cos_rejects_even_s():
@@ -503,22 +503,11 @@ def test_abel_error_estimates_hold(digits):
                                         == rv.value)
 
 
-def test_direct_empty_sum():
-    rv = direct_oracle(SeriesSpec("sin", mpf("0.3"), 2), 0, CFG)
-    assert rv.value == 0
-    assert rv.error_estimate == mpf("inf")
-    assert rv.terms_used == 0
-
-
-def test_direct_requires_positive_s():
-    with pytest.raises(DomainError):
-        direct_oracle(SeriesSpec("sin", mpf("0.3"), 0), 100, CFG)
-
-
 # ------------------------------- invariants -------------------------------
 
 def test_oracle_agreement_grid():
-    # 20 (x, s) pairs: abel for s < 1, direct for s > 1, all within 1e-5
+    # 20 (x, s) pairs: abel for s < 1 within 1e-5, mpmath's Clausen
+    # functions for s > 1 within tolerance
     with workprec(CFG):
         xs = [mpf(i) / 10 for i in range(1, 10)]
         cases = []
@@ -534,10 +523,12 @@ def test_oracle_agreement_grid():
             spec = SeriesSpec(kernel, x, s)
             cf = closed_form_series(spec, CFG)
             if s < 1:
-                ref = abel_oracle(spec, CFG)
+                ref = abel_oracle(spec, CFG).value
+                tol = mpf("1e-5")
             else:
-                ref = direct_oracle(spec, 3 * 10 ** 4, CFG)
-            assert abs(cf.value - ref.value) < mpf("1e-5"), (kernel, x, s)
+                ref = clausen(kernel, x, s, CFG)
+                tol = tolerance(CFG)
+            assert abs(cf.value - ref) <= tol, (kernel, x, s)
 
 
 def test_parity_symmetry():

@@ -19,7 +19,7 @@ from regsum import (DEFAULT_CONFIG, DomainError, EvalConfig, PoleError,
                     riemann_zeta, stieltjes_gamma1, stieltjes_gamma1_limit,
                     stieltjes_integral, workprec, xreal,
                     zeta_prime_at_zero, zeta_sderiv_at_negatives)
-from regsum.config import CACHE_CAP, cache_put, tolerance, working_dps
+from regsum.config import CACHE_CAP, memo, tolerance, working_dps
 from regsum.zeta import _em_zeta_derivs, _laurent_wcoeffs
 
 from refs import (euler_gamma_ref, gamma1_ref, hurwitz_series, romberg,
@@ -410,9 +410,39 @@ def test_closed_form_has_no_precision_cliff():
     assert elapsed < 10, elapsed
 
 
-def test_cache_put_evicts_oldest_at_cap():
-    cache = {}
-    for i in range(CACHE_CAP + 3):
-        cache_put(cache, i, -i)
-    assert len(cache) == CACHE_CAP
-    assert list(cache)[:2] == [3, 4] and cache[CACHE_CAP + 2] == -(CACHE_CAP + 2)
+def test_memo_is_bounded_lru_and_counted():
+    computed = []
+
+    @memo
+    def neg(i):
+        computed.append(i)
+        return -i
+
+    for i in range(CACHE_CAP):
+        neg(i)
+    assert neg(0) == 0 and computed == list(range(CACHE_CAP))  # a hit
+    neg(CACHE_CAP)  # evicts 1, now the least recently used, not 0
+    info = neg.cache_info()
+    assert (info.currsize, info.maxsize) == (CACHE_CAP, CACHE_CAP)
+    assert (info.hits, info.misses) == (1, CACHE_CAP + 1)
+    neg(0)
+    neg(1)
+    assert computed[-1] == 1 and len(computed) == CACHE_CAP + 2
+    with mp.workdps(mp.dps + 10):
+        neg(0)  # cached, but at another precision
+    assert computed[-1] == 0
+    info = neg.cache_info()
+    assert (info.hits, info.misses) == (2, CACHE_CAP + 3)
+
+
+def test_memo_keys_on_precision():
+    # the same arguments at 50 and then 100 digits: a cache keyed without
+    # the precision would hand back the 50-digit values
+    for digits in (50, 100):
+        cfg = EvalConfig(digits)
+        got = (riemann_zeta(mpf(3) / 2, cfg), euler_gamma(cfg),
+               zeta_sderiv_at_negatives(3, cfg))
+    with mp.workdps(working_dps(cfg) + 20):
+        ref = (mp.zeta(mpf(3) / 2), +mp.euler, mp.zeta(-3, derivative=1))
+    for v, r in zip(got, ref):
+        assert abs(v - r) <= tolerance(cfg), (v, r)
