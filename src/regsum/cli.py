@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -76,7 +77,10 @@ def _parse_grid(spec: str | None, points: str | None) -> list[Fraction]:
     return out
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; argparse copies the
+    --identity default before appending, so parses share no list."""
     p = argparse.ArgumentParser(
         prog="regsum",
         description="evaluate regularized trigonometric series and verify "

@@ -72,10 +72,8 @@ def workprec(cfg: EvalConfig | None = None):
 
 def tolerance(cfg: EvalConfig | None = None) -> mpf:
     """10^-(precision_digits - 30) at *cfg*'s working precision, whatever the
-    caller's mp.dps; *cfg* defaults to the active config."""
-    cfg = cfg or _ACTIVE.get() or DEFAULT_CONFIG
-    with mp.workdps(working_dps(cfg)):
-        return mpf(10) ** -(cfg.precision_digits - 30)
+    caller's mp.dps; *cfg* defaults to the active config. Memoised."""
+    return _tolerance(cfg or _ACTIVE.get() or DEFAULT_CONFIG)
 
 
 def xreal(value) -> mpf:
@@ -102,3 +100,9 @@ def memo(fn):
 
     wrapper.cache_info = cached.cache_info
     return wrapper
+
+
+@memo
+def _tolerance(cfg: EvalConfig) -> mpf:
+    with mp.workdps(working_dps(cfg)):
+        return mpf(10) ** -(cfg.precision_digits - 30)

@@ -1,7 +1,9 @@
 """Generic summation utilities.
 
-A stopping-rule driven summer for rapidly decaying tails and its stepped
-Taylor form, Richardson extrapolation, and a series transform for slowly
+A summer for rapidly decaying tails and its stepped Taylor form, which share
+one loop and its one stop rule (three consecutive terms below tolerance/100)
+and add raw mpf tuples (mpmath.libmp) with the roundings of the mpf
+operators; Richardson extrapolation; and a series transform for slowly
 convergent oscillatory sums sum_n g(n) z^n with |z| <= 1, z != 1."""
 
 from __future__ import annotations
@@ -9,7 +11,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from mpmath import mp, mpf
-from mpmath.libmp import to_fixed
+from mpmath.libmp import (fzero, from_int, mpf_abs, mpf_add, mpf_div, mpf_lt,
+                          mpf_mul, mpf_neg, to_fixed)
 
 from .config import EvalConfig, tolerance, workprec, xreal
 from .errors import ArityError, ConvergenceError, DomainError
@@ -18,43 +21,56 @@ from .errors import ArityError, ConvergenceError, DomainError
 MAX_TERMS = 10**6
 
 
-def sum_entire(term: Callable[[int], mpf], cfg: EvalConfig | None = None):
-    """Sum term(0) + term(1) + ... for rapidly decaying tails.
+def _sum_raw(term):
+    """The one stop rule: add the raw mpf tuples term(0), term(1), ... at
+    the current precision until three consecutive terms fall below
+    tolerance/100 in magnitude (parity-masked zero terms from sin/cos must
+    not halt summation early). Returns (sum as an mpf, terms_used)."""
+    prec, rnd = mp._prec_rounding
+    stop = (tolerance() / 100)._mpf_
+    acc = fzero
+    small = n = 0
+    while small < 3:
+        if n >= MAX_TERMS:
+            raise ConvergenceError(
+                f"series did not decay within {MAX_TERMS} terms")
+        t = term(n)
+        acc = mpf_add(acc, t, prec, rnd)
+        small = small + 1 if mpf_lt(mpf_abs(t, prec, rnd), stop) else 0
+        n += 1
+    return mp.make_mpf(acc), n
 
-    Stops once three consecutive terms fall below tolerance/100 in magnitude
-    (parity-masked zero terms from sin/cos must not halt summation early).
-    Calls term with n = 0, 1, 2, ... in order. Returns (sum, terms_used).
-    """
+
+def sum_entire(term: Callable[[int], mpf], cfg: EvalConfig | None = None):
+    """Sum the real terms term(0) + term(1) + ... of a rapidly decaying tail,
+    calling term with n = 0, 1, 2, ... in order, until the stop rule holds.
+    Returns (sum, terms_used)."""
     with workprec(cfg):
-        stop = tolerance() / 100
-        acc = mpf(0)
-        small = 0
-        n = 0
-        while small < 3:
-            if n >= MAX_TERMS:
-                raise ConvergenceError(
-                    f"series did not decay within {MAX_TERMS} terms")
-            t = term(n)
-            acc += t
-            small = small + 1 if abs(t) < stop else 0
-            n += 1
-        return +acc, n
+        return _sum_raw(lambda n: mp.convert(term(n))._mpf_)
 
 
 def sum_taylor(c: Callable[[int], mpf], w, p: int,
                cfg: EvalConfig | None = None):
-    """sum_{n>=0} (-1)^n c(n) w^{2n+p}/(2n+p)! through sum_entire, with the
-    monomial stepped, m_0 = w^p/p! and m_{n+1} = -m_n w^2/((2n+p+1)(2n+p+2)),
-    so no term takes a power or a factorial. Returns (sum, terms_used)."""
+    """sum_{n>=0} (-1)^n c(n) w^{2n+p}/(2n+p)! for real c(n), under the same
+    stop rule, with the monomial stepped, m_0 = w^p/p! and
+    m_{n+1} = (-m_n w^2)/((2n+p+1)(2n+p+2)), so no term takes a power or a
+    factorial. The step rounds as those mpf expressions do, so value and
+    terms_used equal sum_entire's on the mpf-stepped term.
+    Returns (sum, terms_used)."""
     with workprec(cfg):
+        prec, rnd = mp._prec_rounding
         w = xreal(w)
-        w2, m = w * w, mp.power(w, p) / mp.factorial(p)
+        w2 = (w * w)._mpf_
+        m = (mp.power(w, p) / mp.factorial(p))._mpf_
 
         def term(n):
             nonlocal m
-            t, m = c(n) * m, -m * w2 / ((2 * n + p + 1) * (2 * n + p + 2))
+            t = mpf_mul(mp.convert(c(n))._mpf_, m, prec, rnd)
+            k = 2 * n + p
+            m = mpf_div(mpf_mul(mpf_neg(m), w2, prec, rnd),
+                        from_int((k + 1) * (k + 2)), prec, rnd)
             return t
-        return sum_entire(term)
+        return _sum_raw(term)
 
 
 def richardson_extrapolate(samples: Sequence[tuple], order: int):

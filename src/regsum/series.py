@@ -9,6 +9,10 @@ limits return the regularized values of the divergent cases; exact integer
 exponents go through Bernoulli-Fourier / Hurwitz-derivative branches. The
 Abel oracle (Abel summation with Richardson extrapolation) is independent of
 every closed form and is the route for log weights at s > 0.
+
+A closed form at a new x with a seen s is cheap: the zeta tails read the
+memoised zeta values directly, and the parity distance and the prefactor's
+s-only denominator are kept per (s, precision) by config.memo.
 """
 
 from __future__ import annotations
@@ -19,14 +23,14 @@ from dataclasses import dataclass, replace
 from mpmath import mp, mpf
 
 from .bernoulli import bernoulli_poly_coeffs, poly_eval
-from .config import EvalConfig, tolerance, workprec, xreal
+from .config import EvalConfig, memo, tolerance, workprec, xreal
 from .errors import (CapabilityError, ConvergenceError, DomainError,
                      PoleError, PrecisionLossWarning, RedirectError)
 from .gammafn import digamma, gamma_fn
 from .kernels import (richardson_extrapolate, sum_entire, sum_oscillatory,
                       sum_taylor)
-from .zeta import (euler_gamma, log_two_pi, riemann_zeta, hurwitz_zeta_deriv,
-                   zeta_sderiv_at_negatives)
+from .zeta import (_rz, euler_gamma, log_two_pi, riemann_zeta,
+                   hurwitz_zeta_deriv, zeta_sderiv_at_negatives)
 
 KERNELS = ("sin", "cos")
 WEIGHTS = ("unit", "log", "log2")  # log2 means (log n)^2
@@ -133,23 +137,34 @@ def _plain_tail(kernel: str, x: mpf, s: mpf):
     """sum_n (-1)^n zeta(s-2n-1) w^{2n+1}/(2n+1)!  (sin)
        sum_n (-1)^n zeta(s-2n)   w^{2n}/(2n)!      (cos),  w = 2 pi x,
     less the zeta(1) term (sin at even s; integer_sin_series's head), by
-    the stepped Taylor kernel sum_taylor."""
+    the stepped Taylor kernel sum_taylor, each zeta value read from the
+    memoised _rz."""
     p = 1 if kernel == "sin" else 0
+    # zeta(1) is term n = (s - p - 1)/2 where that is a whole number
+    k = int(s) - p - 1 if _is_int(s) else -1
+    skip = k // 2 if k >= 0 and k % 2 == 0 else -1
 
     def c(n):
-        z = s - 2 * n - p
-        return mpf(0) if z == 1 else riemann_zeta(z)
+        return mpf(0) if n == skip else _rz(s - 2 * n - p)
     return sum_taylor(c, 2 * mp.pi * x, p)
 
 
 def _prefactor(kernel: str, x: mpf, s: mpf) -> mpf:
     """pi w^{s-1} / (2 Gamma(s) trig(pi s/2)), w = 2 pi x."""
-    trig = mp.sin if kernel == "sin" else mp.cos
-    return (mp.pi * mp.power(2 * mp.pi * x, s - 1)
-            / (2 * gamma_fn(s) * trig(mp.pi * s / 2)))
+    return mp.pi * mp.power(2 * mp.pi * x, s - 1) / _prefactor_den(kernel, s)
 
 
-def _parity_distance(kernel: str, s: mpf):
+@memo
+def _prefactor_den(kernel: str, s: mpf) -> mpf:
+    """2 Gamma(s) trig(pi s/2), the prefactor's part that x leaves alone;
+    sinpi/cospi keep trig's relative accuracy next to its zeros, the
+    parity-singular integers."""
+    trig = mp.sinpi if kernel == "sin" else mp.cospi
+    return 2 * gamma_fn(s) * trig(s / 2)
+
+
+@memo
+def _parity_distance(kernel: str, s: mpf) -> mpf:
     """Distance from s > 0 to the nearest integer where the prefactor is
     singular: even s for sin, odd s for cos."""
     p = 0 if kernel == "sin" else 1

@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp, mpf
 
 from regsum import DEFAULT_CONFIG, SeriesSpec, regularized_limit, workprec
-from regsum.cli import UsageError, main, parse_request
+from regsum.cli import UsageError, _build_parser, main, parse_request
 
 CFG = DEFAULT_CONFIG
 
@@ -51,6 +51,18 @@ def test_parse_errors():
     with pytest.raises(UsageError):
         parse_request(["eval", "--series", "sin", "--s", "1", "--x", "0.3",
                        "--prec", "10"])
+
+
+def test_parser_built_once_shares_no_identity_list():
+    # the parser is cached; argparse's append default must stay unshared
+    assert _build_parser() is _build_parser()
+    a = parse_request(["verify", "--identity", "cot_limit",
+                       "--points", "0.3"])
+    b = parse_request(["verify", "--identity", "entry17v",
+                       "--points", "0.3"])
+    assert a.identities == ["cot_limit"]
+    assert b.identities == ["entry17v"]
+    assert _build_parser().parse_args(["verify"]).identity == []
 
 
 def test_usage_exit_code(capsys):
@@ -138,6 +150,19 @@ def test_json_determinism(capsys):
     assert main(args) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("args", [
+    ["table", "--series", "sin", "--s", "2.5", "--grid", "0.1:0.3:0.1",
+     "--format", "csv"],
+    ["eval", "--series", "cos", "--alt", "--s", "0", "--x", "0.3"],
+])
+def test_main_twice_same_output(args, capsys):
+    # a second run through the cached parser prints the same bytes
+    assert main(args) == 0
+    first = capsys.readouterr().out
+    assert main(args) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_output_file_and_io_error(tmp_path, capsys):

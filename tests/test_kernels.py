@@ -4,6 +4,7 @@ oscillatory transform."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from regsum import (ArityError, ConvergenceError, DomainError,
@@ -84,10 +85,44 @@ def test_sum_taylor_zeta_tail():
         assert n == n_ref
 
 
+def _stepped_term(c, w, p):
+    """The Taylor term with its monomial stepped as mpf expressions,
+    m_{n+1} = (-m_n w^2)/((2n+p+1)(2n+p+2)): sum_taylor's reference."""
+    w2, m = w * w, mp.power(w, p) / mp.factorial(p)
+
+    def term(n):
+        nonlocal m
+        t, m = c(n) * m, -m * w2 / ((2 * n + p + 1) * (2 * n + p + 2))
+        return t
+    return term
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(j=st.integers(1, 2**20), p=st.sampled_from((0, 1, 2)),
+       digits=st.sampled_from((30, 50, 100)), zeta_c=st.booleans())
+def test_sum_taylor_bits_equal_sum_entire(j, p, digits, zeta_c):
+    # the raw-tuple loop rounds as the mpf expressions do: same bits, same n
+    with workprec(EvalConfig(digits)):
+        w = mp.pi * j / 2**20  # w in (0, pi]
+        c = ((lambda n: riemann_zeta(-2 * n - 1)) if zeta_c
+             else (lambda n: mpf(1)))
+        val, n = sum_taylor(c, w, p)
+        ref, n_ref = sum_entire(_stepped_term(c, w, p))
+        assert val._mpf_ == ref._mpf_
+        assert n == n_ref
+
+
 def test_sum_entire_nondecay_raises(monkeypatch):
     monkeypatch.setattr(kernels, "MAX_TERMS", 100)
     with pytest.raises(ConvergenceError):
         sum_entire(lambda k: mpf(1))
+
+
+def test_sum_taylor_nondecay_raises(monkeypatch):
+    # sum_taylor runs the stop rule's MAX_TERMS guard too
+    monkeypatch.setattr(kernels, "MAX_TERMS", 100)
+    with pytest.raises(ConvergenceError):
+        sum_taylor(lambda n: mp.factorial(2 * n + 1), mpf(1), 1)
 
 
 def test_richardson_linear_exact():

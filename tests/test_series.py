@@ -107,6 +107,22 @@ def test_closed_form_near_parity_warns():
         assert abs(cf.value - iv.value) < mpf("1e-2")
 
 
+@pytest.mark.parametrize("digits", [50, 100])
+@pytest.mark.parametrize("kernel,base,side", [("sin", 2, 1), ("cos", 3, -1)])
+def test_closed_form_next_to_parity_integer(digits, kernel, base, side):
+    # s = 2 + 10^-k (sin) and 3 - 10^-k (cos): the prefactor's trig factor
+    # nears a zero, and sinpi/cospi keep its relative accuracy
+    cfg = EvalConfig(digits)
+    with workprec(cfg):
+        x = mpf(3) / 10
+        for k in (4, 10, 20, 30, 40):
+            s = base + side * mpf(10) ** -k
+            with pytest.warns(PrecisionLossWarning):
+                rv = closed_form_series(SeriesSpec(kernel, x, s), cfg)
+            ref = clausen(kernel, x, s, cfg)
+            assert abs(rv.value - ref) <= tolerance(cfg), k
+
+
 def test_integer_branch_continuity_bracket():
     # closed form at s = 2 +- 1e-4 brackets the L'Hopital limit within 1e-3
     with workprec(CFG):
@@ -362,6 +378,16 @@ def test_integer_sin_even_branch_catalan():
         assert abs(rv.value - catalan()) < mpf("1e-8")
         ref = clausen("sin", mpf("0.25"), 2, CFG)
         assert abs(rv.value - ref) <= tolerance(CFG)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_integer_sin_even_branch_skips_zeta_one(m):
+    # the sine tail at s = 2m drops exactly its zeta(1) term, n = m - 1
+    with workprec(CFG):
+        for x in (Fraction(1, 10), Fraction(3, 10), Fraction(7, 10)):
+            rv = integer_sin_series(x, 2 * m, CFG)
+            ref = clausen("sin", xreal(x), 2 * m, CFG)
+            assert abs(rv.value - ref) <= tolerance(CFG), x
 
 
 # the ends, and x where w = 2 pi x reaches pi after the mirror, so the
