@@ -6,8 +6,9 @@ The outermost regsum call sets ``mp.dps`` through :func:`workprec`; nested
 calls inherit it, so a missing ``cfg`` can never lower the precision.
 
 Caching has one rule, :func:`memo`: a value is kept per (arguments,
-``mp.prec``), at most :data:`CACHE_CAP` per function, least recently used
-first out, with hits and misses counted by ``cache_info()``.
+``mp.prec``), at most :data:`CACHE_CAP` per function (fewer where a value
+is itself a table), least recently used first out, with hits and misses
+counted by ``cache_info()``.
 """
 
 from __future__ import annotations
@@ -83,14 +84,19 @@ def xreal(value) -> mpf:
     return mpf(value)
 
 
-def memo(fn):
-    """Cache *fn* per (positional arguments, mp.prec): at most CACHE_CAP
-    values, least recently used first out, counted by ``cache_info()``.
+def memo(fn=None, *, cap: int = CACHE_CAP):
+    """Cache *fn* per (positional arguments, mp.prec): at most *cap* values,
+    least recently used first out, counted by ``cache_info()``. Bare
+    ``@memo`` keeps CACHE_CAP values; ``@memo(cap=...)`` fewer, for
+    functions whose values hold many numbers each.
 
     The wrapper is a plain function, so tools that rebind a module's public
     functions still see it; *fn* calls others by their module-global names.
     """
-    @functools.lru_cache(maxsize=CACHE_CAP)
+    if fn is None:
+        return functools.partial(memo, cap=cap)
+
+    @functools.lru_cache(maxsize=cap)
     def cached(prec, *args):
         return fn(*args)
 

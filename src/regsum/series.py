@@ -6,13 +6,21 @@ The alternating factor is a phase, (-1)^{n+1} trig(2 n pi x) =
 by half a period and every route below evaluates a plain series. Closed
 forms evaluate the analytic continuation in the exponent s; the s -> 0
 limits return the regularized values of the divergent cases; exact integer
-exponents go through Bernoulli-Fourier / Hurwitz-derivative branches. The
+exponents go through the Bernoulli-Fourier polynomials or, where the
+prefactor is singular, the closed form's L'Hopital limit. The
 Abel oracle (Abel summation with Richardson extrapolation) is independent of
 every closed form and is the route for log weights at s > 0.
 
-A closed form at a new x with a seen s is cheap: the zeta tails read the
-memoised zeta values directly, and the parity distance and the prefactor's
-s-only denominator are kept per (s, precision) by config.memo.
+Every zeta power series, the closed forms' tails and those of the
+integer branches and the sine s -> 0 limits, is sum_n b_n x^{2n+p} at a
+mirrored or shifted x <= 1/2, with b_n = (-1)^n c_n (2 pi)^{2n+p}/(2n+p)!
+normalised: |b_n| stays below about 2 e^{2 pi}, except next to the zeta(1)
+pole, and x^{2n+p} <= 1, so one fixed-point error bound holds at every n.
+The b_n are kept per (tail, s, precision) as fixed-point integers by
+config.memo, in a table extended only as far as an x needs, so a closed
+form at a new x with a seen s is one memo read and a short integer loop;
+the parity distance and the prefactor's s-only denominator are kept per
+(s, precision) too.
 """
 
 from __future__ import annotations
@@ -21,16 +29,17 @@ import warnings
 from dataclasses import dataclass, replace
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, to_fixed
 
-from .bernoulli import bernoulli_poly_coeffs, poly_eval
-from .config import EvalConfig, memo, tolerance, workprec, xreal
+from .bernoulli import bernoulli_poly_coeffs, harmonic_number, poly_eval
+from .config import CACHE_CAP, EvalConfig, memo, tolerance, workprec, xreal
 from .errors import (CapabilityError, ConvergenceError, DomainError,
                      PoleError, PrecisionLossWarning, RedirectError)
 from .gammafn import digamma, gamma_fn
-from .kernels import (richardson_extrapolate, sum_entire, sum_oscillatory,
-                      sum_taylor)
-from .zeta import (_rz, euler_gamma, log_two_pi, riemann_zeta,
-                   hurwitz_zeta_deriv, zeta_sderiv_at_negatives)
+from .kernels import (MAX_TERMS, richardson_extrapolate, sum_entire,
+                      sum_oscillatory)
+from .zeta import (_rz, _zpn, euler_gamma, log_two_pi, riemann_zeta,
+                   hurwitz_zeta_deriv)
 
 KERNELS = ("sin", "cos")
 WEIGHTS = ("unit", "log", "log2")  # log2 means (log n)^2
@@ -39,6 +48,9 @@ WEIGHTS = ("unit", "log", "log2")  # log2 means (log n)^2
 # r -> 1 by a degree-RICHARDSON_ORDER polynomial in h = 1 - r.
 ABEL_R_LEVELS = 12
 RICHARDSON_ORDER = 6
+
+# Bits the fixed-point tails carry beyond mp.prec.
+TAIL_GUARD_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -133,20 +145,62 @@ def _half_point_value(kernel: str, weight: str, s: mpf) -> mpf:
 # Closed forms of the plain series
 # --------------------------------------------------------------------------
 
+def _zeta_coeff(s: mpf, k: int) -> mpf:
+    """zeta(s - k), read from the memoised _rz; 0 in place of zeta(1)."""
+    return mpf(0) if s - k == 1 else _rz(s - k)
+
+
+def _zeta_deriv_coeff(s: mpf, k: int) -> mpf:
+    """-zeta'(-k) at odd k, read from the memoised _zpn (s is unused)."""
+    return -_zpn(k)
+
+
+@memo(cap=CACHE_CAP // 64)
+def _tail_table(coeff, p: int, s: mpf) -> list[int]:
+    """b_n = (-1)^n coeff(s, 2n+p) (2 pi)^{2n+p}/(2n+p)! as integers
+    b_n 2^(mp.prec + TAIL_GUARD_BITS); empty until _taylor_tail extends it.
+    Each table holds tens to hundreds of values, so fewer are kept."""
+    return []
+
+
+def _taylor_tail(coeff, p: int, s: mpf, x: mpf):
+    """sum_n b_n x^{2n+p} over _tail_table(coeff, p, s) for 0 < x <= 1/2,
+    in fixed point at mp.prec + TAIL_GUARD_BITS bits: one integer product
+    steps x^{2n+p} and one forms the term. The stop rule is sum_entire's,
+    three consecutive terms below tolerance/100. Appending b_n to the table
+    where it ends keeps every value the same bits, warm or cold.
+    Returns (sum, terms_used)."""
+    prec, rnd = mp._prec_rounding
+    bits = prec + TAIL_GUARD_BITS
+    table = _tail_table(coeff, p, s)
+    xf = to_fixed(x._mpf_, bits)
+    x2 = xf * xf >> bits
+    xk = xf if p else 1 << bits
+    stop = to_fixed((tolerance() / 100)._mpf_, bits)
+    acc = small = n = 0
+    while small < 3:
+        if n == len(table):
+            if n >= MAX_TERMS:
+                raise ConvergenceError(
+                    f"series did not decay within {MAX_TERMS} terms")
+            k = 2 * n + p
+            b = coeff(s, k) * mp.power(2 * mp.pi, k) / mp.factorial(k)
+            table.append(to_fixed((-b if n % 2 else b)._mpf_, bits))
+        t = table[n] * xk >> bits
+        acc += t
+        small = small + 1 if -stop < t < stop else 0
+        xk = xk * x2 >> bits
+        n += 1
+    return mp.make_mpf(from_man_exp(acc, -bits, prec, rnd)), n
+
+
 def _plain_tail(kernel: str, x: mpf, s: mpf):
     """sum_n (-1)^n zeta(s-2n-1) w^{2n+1}/(2n+1)!  (sin)
        sum_n (-1)^n zeta(s-2n)   w^{2n}/(2n)!      (cos),  w = 2 pi x,
-    less the zeta(1) term (sin at even s; integer_sin_series's head), by
-    the stepped Taylor kernel sum_taylor, each zeta value read from the
-    memoised _rz."""
-    p = 1 if kernel == "sin" else 0
-    # zeta(1) is term n = (s - p - 1)/2 where that is a whole number
-    k = int(s) - p - 1 if _is_int(s) else -1
-    skip = k // 2 if k >= 0 and k % 2 == 0 else -1
-
-    def c(n):
-        return mpf(0) if n == skip else _rz(s - 2 * n - p)
-    return sum_taylor(c, 2 * mp.pi * x, p)
+    for 0 < x <= 1/2, less the zeta(1) term (at the parity-singular
+    integers, where _parity_limit's head replaces it), by _taylor_tail
+    over the memoised table of (kernel, s, precision)."""
+    return _taylor_tail(_zeta_coeff, 1 if kernel == "sin" else 0, s, x)
 
 
 def _prefactor(kernel: str, x: mpf, s: mpf) -> mpf:
@@ -166,9 +220,29 @@ def _prefactor_den(kernel: str, s: mpf) -> mpf:
 @memo
 def _parity_distance(kernel: str, s: mpf) -> mpf:
     """Distance from s > 0 to the nearest integer where the prefactor is
-    singular: even s for sin, odd s for cos."""
-    p = 0 if kernel == "sin" else 1
-    return abs(s - (2 * mp.nint((s - p) / 2) + p))
+    singular: even s >= 2 for sin (at s = 0 the pole of Gamma(s) cancels
+    the zero of sin(pi s/2)), odd s for cos."""
+    if kernel == "sin":
+        return abs(s - max(2, 2 * mp.nint(s / 2)))
+    return abs(s - (2 * mp.nint((s - 1) / 2) + 1))
+
+
+def _parity_limit(kernel: str, x: mpf, s: int) -> RegularizedValue:
+    """The closed form's L'Hopital limit at a parity-singular integer s
+    (sin at even s, cos at odd s), m = ceil(s/2), w = 2 pi x mirrored:
+
+        (-1)^m w^{s-1}/(s-1)! * [log w - H_{s-1}]
+        + the kernel's zeta tail less its zeta(1) term,
+
+    H_{s-1} = psi(s) + gamma the harmonic number; terms_used counts the
+    whole tail."""
+    x, sign = _mirror(kernel, x)
+    w = 2 * mp.pi * x
+    head = ((-1) ** ((s + 1) // 2) * mp.power(w, s - 1) / mp.factorial(s - 1)
+            * (mp.log(w) - xreal(harmonic_number(s - 1))))
+    tail, n = _plain_tail(kernel, x, xreal(s))
+    return RegularizedValue(+(sign * (head + tail)), "integer_branch",
+                            +tolerance(), n)
 
 
 def _integer_branch(kernel: str, s: mpf):
@@ -200,8 +274,7 @@ def _plain_limit(kernel: str, weight: str, x: mpf) -> RegularizedValue:
         tail, n = _plain_tail(kernel, x, mpf(0))
     else:
         head = -(euler_gamma() + mp.log(w)) / w
-        tail, n = sum_taylor(
-            lambda n: -zeta_sderiv_at_negatives(2 * n + 1), w, 1)
+        tail, n = _taylor_tail(_zeta_deriv_coeff, 1, mpf(0), x)
     return RegularizedValue(+(sign * (head + tail)), "closed_form", +tol, n)
 
 
@@ -320,7 +393,7 @@ def integer_sin_series(x, s: int, cfg: EvalConfig | None = None) -> RegularizedV
     Odd s = 2m+1: Bernoulli-Fourier closed form
         (-1)^{m+1} (2 pi)^{2m+1} / (2 (2m+1)!) * B_{2m+1}(x).
     Even s = 2m: the L'Hopital limit of the generic closed form,
-        (-1)^m w^{2m-1}/(2m-1)! * [log w - psi(2m) - gamma]
+        (-1)^m w^{2m-1}/(2m-1)! * [log w - H_{2m-1}]
         + its sine zeta tail less the zeta(1) term  (w = 2 pi x);
     terms_used counts the whole tail.
     """
@@ -336,31 +409,23 @@ def integer_sin_series(x, s: int, cfg: EvalConfig | None = None) -> RegularizedV
         x = xreal(x)
         if not (0 < x < 1):
             raise DomainError("x must lie strictly inside (0, 1)")
-        tol = tolerance()
-        if s % 2 == 1:
-            m = (s - 1) // 2
-            coeffs = bernoulli_poly_coeffs(2 * m + 1)
-            val = ((-1) ** (m + 1) * (2 * mp.pi) ** (2 * m + 1)
-                   / (2 * mp.factorial(2 * m + 1)) * poly_eval(coeffs, x))
-            return RegularizedValue(+val, "integer_branch", +tol, 0)
-        m = s // 2
-        x, sign = _mirror("sin", x)
-        w = 2 * mp.pi * x
-        g = euler_gamma()
-        head = ((-1) ** m * mp.power(w, 2 * m - 1) / mp.factorial(2 * m - 1)
-                * (mp.log(w) - digamma(2 * m) - g))
-        tail, nterms = _plain_tail("sin", x, xreal(s))
-        return RegularizedValue(+(sign * (head + tail)),
-                                "integer_branch", +tol, nterms)
+        if s % 2 == 0:
+            return _parity_limit("sin", x, s)
+        m = (s - 1) // 2
+        coeffs = bernoulli_poly_coeffs(2 * m + 1)
+        val = ((-1) ** (m + 1) * (2 * mp.pi) ** (2 * m + 1)
+               / (2 * mp.factorial(2 * m + 1)) * poly_eval(coeffs, x))
+        return RegularizedValue(+val, "integer_branch", +tolerance(), 0)
 
 
 def integer_cos_series(x, s: int, cfg: EvalConfig | None = None) -> RegularizedValue:
-    """sum_n cos(2 n pi x)/n^s at odd integer s = 2m-1 via Hurwitz derivatives:
+    """sum_n cos(2 n pi x)/n^s at odd integer s = 2m-1: the L'Hopital limit
+    of the generic closed form,
 
-        (-1)^m (2 pi)^{2m-2}/(2m-2)! *
-            [x^{2m-2} log x - zeta'(2-2m, 1-x) - zeta'(2-2m, 1+x)]
+        (-1)^m w^{2m-2}/(2m-2)! * [log w - H_{2m-2}]
+        + its cosine zeta tail less the zeta(1) term  (w = 2 pi x);
 
-    For m = 1 this reduces to -log(2 sin pi x).
+    terms_used counts the whole tail. For m = 1 this is -log(2 sin pi x).
     """
     if s != int(s):
         raise DomainError("integer_cos_series requires integer s")
@@ -373,14 +438,7 @@ def integer_cos_series(x, s: int, cfg: EvalConfig | None = None) -> RegularizedV
         x = xreal(x)
         if not (0 < x < 1):
             raise DomainError("x must lie strictly inside (0, 1)")
-        m = (s + 1) // 2
-        tol = tolerance()
-        sarg = 2 - 2 * m
-        val = ((-1) ** m * (2 * mp.pi) ** (2 * m - 2) / mp.factorial(2 * m - 2)
-               * (mp.power(x, 2 * m - 2) * mp.log(x)
-                  - hurwitz_zeta_deriv(1, sarg, 1 - x)
-                  - hurwitz_zeta_deriv(1, sarg, 1 + x)))
-        return RegularizedValue(+val, "integer_branch", +tol, 0)
+        return _parity_limit("cos", x, s)
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from regsum import (CapabilityError, DEFAULT_CONFIG, DomainError, EvalConfig,
                     log_cos_limit_series,
                     regularized_limit, riemann_zeta, workprec)
 from regsum import series
-from regsum.config import tolerance, working_dps, xreal
+from regsum.config import CACHE_CAP, memo, tolerance, working_dps, xreal
+from regsum.zeta import _rz
 
 from refs import (catalan, clausen, eta_tail, hurwitz_series,
                   polylog_log_weight, seeded_uniforms, sin_log_limit)
@@ -121,6 +122,21 @@ def test_closed_form_next_to_parity_integer(digits, kernel, base, side):
                 rv = closed_form_series(SeriesSpec(kernel, x, s), cfg)
             ref = clausen(kernel, x, s, cfg)
             assert abs(rv.value - ref) <= tolerance(cfg), k
+
+
+def test_sine_next_to_zero_is_not_parity_singular():
+    # Gamma(s)'s pole cancels the zero of sin(pi s/2) at s = 0, so a small
+    # s loses no digits: no warning and no widened estimate
+    with workprec(CFG):
+        x = mpf(3) / 10
+        for k in (4, 10, 20, 30, 45):
+            s = mpf(10) ** -k
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rv = evaluate_series(SeriesSpec("sin", x, s), CFG)
+            assert rv.error_estimate == tolerance(CFG), k
+            ref = clausen("sin", x, s, CFG)
+            assert abs(rv.value - ref) <= tolerance(CFG), k
 
 
 def test_integer_branch_continuity_bracket():
@@ -355,6 +371,106 @@ def test_series_route_precision_sweep(digits, examples):
     check()
 
 
+# ----------------------------- zeta tail tables ---------------------------
+
+# (digits, examples): refs.clausen takes ~0.3, ~0.5 and ~1.5 s a case at
+# 30, 50 and 100 digits
+TABLE_SWEEP = [(30, 6), (50, 4), (100, 3)]
+
+
+@pytest.mark.parametrize("digits,examples", TABLE_SWEEP)
+def test_tail_tables_closed_form_sweep(digits, examples):
+    # dyadic x, s in (0, 8) at least 1/64 from every integer: the closed
+    # forms' fixed-point tails against mpmath's Clausen functions
+    cfg = EvalConfig(digits)
+
+    @settings(max_examples=examples, deadline=None, derandomize=True,
+              database=None)
+    @given(j=st.integers(1, 255).filter(lambda j: j != 128),
+           i=st.integers(0, 7), f=st.integers(1, 63),
+           kernel=st.sampled_from(("sin", "cos")), alternating=st.booleans())
+    def check(j, i, f, kernel, alternating):
+        x, s = Fraction(j, 256), i + Fraction(f, 64)
+        rv = closed_form_series(SeriesSpec(kernel, x, s, alternating), cfg)
+        with mp.workdps(working_dps(cfg) + 40):
+            xm, sm = xreal(x), xreal(s)
+            # the alternating series is minus the plain one at x + 1/2
+            ref = (-clausen(kernel, xm + mpf(1) / 2, sm, cfg) if alternating
+                   else clausen(kernel, xm, sm, cfg))
+            err = abs(rv.value - ref)
+        assert err <= tolerance(cfg), mp.nstr(err, 3)
+
+    check()
+
+
+# x' = 1/2 - 2^-10 after the mirror or the half-period shift, where the
+# tails are longest, and a sine op of the scatter workload (seed 8201)
+# whose tail would never stop if its tiny late coefficients, floored to
+# -1 ulp, met growing powers of w = 2 pi x instead of x^{2n+1} <= 1
+TABLE_PINS = [("sin", False, Fraction(511, 1024), Fraction(37, 16)),
+              ("cos", True, Fraction(1, 1024), Fraction(19, 8)),
+              ("sin", False, Fraction(24025, 65536), Fraction(159771, 32768))]
+
+
+@pytest.mark.parametrize(
+    "digits", [100, pytest.param(200, marks=pytest.mark.slow)])
+def test_tail_tables_pinned(digits):
+    cfg = EvalConfig(digits)
+    bad = []
+    for kernel, alternating, x, s in TABLE_PINS:
+        rv = closed_form_series(SeriesSpec(kernel, x, s, alternating), cfg)
+        with mp.workdps(working_dps(cfg) + 40):
+            xm, sm = xreal(x), xreal(s)
+            ref = (-hurwitz_series(kernel, xm + mpf(1) / 2, sm) if alternating
+                   else hurwitz_series(kernel, xm, sm))
+            err = abs(rv.value - ref)
+        if not err <= tolerance(cfg):
+            bad.append((kernel, alternating, x, mp.nstr(err, 3)))
+    assert not bad, bad
+
+
+@pytest.mark.parametrize("kernel,alternating",
+                         [("sin", False), ("cos", False), ("cos", True)])
+def test_tail_table_warm_equals_cold(monkeypatch, kernel, alternating):
+    # x2 reads the same bits from a table that a larger x1 extended first,
+    # or that a smaller x1 began, as from one built for x2 alone
+    s = Fraction(37, 16)
+    table = series._tail_table.__wrapped__
+
+    def last_value(*xs):
+        # an empty table memo: the zeta values behind it stay memoised
+        monkeypatch.setattr(series, "_tail_table", memo(cap=1)(table))
+        for x in xs:
+            rv = closed_form_series(SeriesSpec(kernel, x, s, alternating), CFG)
+        return rv.value._mpf_
+
+    x2 = Fraction(7, 16)
+    cold = last_value(x2)
+    for x1 in (Fraction(1, 16), Fraction(15, 32)):
+        assert last_value(x1, x2) == cold, x1
+
+
+def test_tail_table_warm_call_computes_no_zeta():
+    # after x = 7/16, every x whose mirror is nearer 0 is a table read
+    s = Fraction(53, 16)
+    closed_form_series(SeriesSpec("cos", Fraction(7, 16), s), CFG)
+    misses = _rz.cache_info().misses
+    for x in (Fraction(3, 16), Fraction(13, 16), Fraction(5, 16)):
+        closed_form_series(SeriesSpec("cos", x, s), CFG)
+    assert _rz.cache_info().misses == misses
+
+
+def test_tail_table_memo_is_bounded():
+    cap = CACHE_CAP // 64
+    cfg = EvalConfig(30)
+    for i in range(cap + 10):
+        s = 4 + Fraction(2 * i + 1, 2 * (cap + 10))
+        closed_form_series(SeriesSpec("sin", Fraction(1, 64), s), cfg)
+    info = series._tail_table.cache_info()
+    assert info.maxsize == cap
+    assert info.currsize == cap
+
+
 # ----------------------------- integer branches ---------------------------
 
 def test_integer_sin_sawtooth():
@@ -431,10 +547,21 @@ def test_integer_cos_log_sine_reduction():
 
 
 def test_integer_cos_cubic_vs_direct():
-    with workprec(CFG):
-        rv = integer_cos_series(mpf("0.3"), 3, CFG)
-        ref = clausen("cos", mpf("0.3"), 3, CFG)
-        assert abs(rv.value - ref) <= tolerance(CFG)
+    # odd s = 2m - 1: the log head plus the cosine zeta tail, which skips
+    # its zeta(1) term n = m - 1; terms_used counts that tail
+    bad = []
+    for digits in (50, 100):
+        cfg = EvalConfig(digits)
+        for s in (1, 3, 5, 7):
+            for xs in ("0.01", "0.3", "0.45", "0.99"):
+                with workprec(cfg):
+                    x = mpf(xs)
+                rv = integer_cos_series(x, s, cfg)
+                with mp.workdps(working_dps(cfg) + 40):
+                    err = abs(rv.value - clausen("cos", x, s, cfg))
+                if not (err <= tolerance(cfg) and rv.terms_used > 0):
+                    bad.append((digits, s, xs, mp.nstr(err, 3)))
+    assert not bad, bad
 
 
 def test_integer_cos_rejects_even_s():
