@@ -8,7 +8,7 @@ uses ``fractions.Fraction``.
 
 from .bernoulli import (bernoulli_number, bernoulli_poly_coeffs,
                         harmonic_number, poly_eval)
-from .config import DEFAULT_CONFIG, EvalConfig, workprec, xreal
+from .config import DEFAULT_CONFIG, EvalConfig, cache_stats, workprec, xreal
 from .errors import (ArityError, CapabilityError, CapacityError,
                      ConvergenceError, DomainError, PoleError,
                      PrecisionLossWarning, RedirectError, RegsumError,
@@ -36,7 +36,7 @@ __all__ = [
     "LaurentCoeffs", "PoleError", "PrecisionLossWarning", "REGISTRY",
     "RedirectError", "RegsumError", "RegularizedValue", "SeriesSpec",
     "UnknownIdentityError", "abel_oracle", "bernoulli_number",
-    "bernoulli_poly_coeffs", "closed_form_series", "digamma",
+    "bernoulli_poly_coeffs", "cache_stats", "closed_form_series", "digamma",
     "eta", "euler_gamma", "evaluate_series", "gamma_fn",
     "harmonic_number", "hurwitz_zeta_deriv", "integer_cos_series",
     "integer_sin_series", "laurent_coefficients", "log_cos_limit_series",

@@ -8,7 +8,8 @@ calls inherit it, so a missing ``cfg`` can never lower the precision.
 Caching has one rule, :func:`memo`: a value is kept per (arguments,
 ``mp.prec``), at most :data:`CACHE_CAP` per function (fewer where a value
 is itself a table), least recently used first out, with hits and misses
-counted by ``cache_info()``.
+counted by ``cache_info()`` and gathered for every memo by
+:func:`cache_stats`.
 """
 
 from __future__ import annotations
@@ -84,6 +85,10 @@ def xreal(value) -> mpf:
     return mpf(value)
 
 
+# Every memo by "module.function", the first of a name kept.
+_MEMOS: dict = {}
+
+
 def memo(fn=None, *, cap: int = CACHE_CAP):
     """Cache *fn* per (positional arguments, mp.prec): at most *cap* values,
     least recently used first out, counted by ``cache_info()``. Bare
@@ -105,7 +110,14 @@ def memo(fn=None, *, cap: int = CACHE_CAP):
         return cached(mp.prec, *args)
 
     wrapper.cache_info = cached.cache_info
+    module = fn.__module__.removeprefix("regsum.")
+    _MEMOS.setdefault(f"{module}.{fn.__qualname__}", wrapper)
     return wrapper
+
+
+def cache_stats() -> dict:
+    """{"module.function": cache_info()} for every memo."""
+    return {name: fn.cache_info() for name, fn in _MEMOS.items()}
 
 
 @memo

@@ -6,7 +6,9 @@ raw sides, residuals, tolerance and a note naming both routes. Where the
 independent side is a series itself, it is summed on the unit circle,
 sum_n log^k(n) z^n/n^s with |z| = 1, by the forward-difference transform
 of kernels.sum_oscillatory to tolerance()/10, so its accuracy follows the
-working precision.
+working precision. A zeta power series side goes through
+kernels._power_series with a coefficient source of this module: its
+tables last between points and are never a closed form's.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .bernoulli import bernoulli_number, bernoulli_poly_coeffs, poly_eval
 from .config import EvalConfig, memo, tolerance, workprec, xreal
 from .errors import CapabilityError, DomainError, UnknownIdentityError
 from .gammafn import digamma, loggamma
-from .kernels import sum_oscillatory, sum_taylor
+from .kernels import _power_series, sum_oscillatory
 from .series import (SeriesSpec, integer_sin_series, log_cos_limit_series,
                      regularized_limit)
 from .zeta import (euler_gamma, hurwitz_zeta_deriv, log_two_pi, phi_ramanujan,
@@ -123,27 +125,29 @@ def _id_cot_limit(x):
     return [("", v.value, rhs)], notes
 
 
-def _limit_series_em(alternating: bool, x):
-    """s->0 limit series by sum_taylor, zeta/eta from Euler-Maclaurin
-    continuation (keeps the constant-limit checks non-vacuous)."""
-    def zeta_em(n):
-        v = hurwitz_zeta_deriv(0, -2 * n, 1)
-        if alternating:
-            v = -v if n == 0 else (1 - mpf(2) ** (2 * n + 1)) * v
-        return v
-    val, _ = sum_taylor(zeta_em, 2 * mp.pi * x, 0)
-    return val
+def _em_coeff(alternating: bool, k: int) -> mpf:
+    """zeta(-k), or eta(-k) = (1 - 2^{k+1}) zeta(-k) if alternating, with
+    zeta by Euler-Maclaurin continuation: the s->0 limit series'
+    coefficients, computed rather than taken as the trivial zeros, which
+    keeps the constant-limit checks non-vacuous."""
+    v = hurwitz_zeta_deriv(0, -k, 1)
+    return (1 - mpf(2) ** (k + 1)) * v if alternating else v
+
+
+def _zeta_sderiv_coeff(s: int, k: int) -> mpf:
+    """zeta'(s - k) at integer s <= k, through the public zeta' functions."""
+    return zeta_prime_at_zero() if k == s else zeta_sderiv_at_negatives(k - s)
 
 
 def _id_cos_limit(x):
-    lhs = _limit_series_em(False, x)
+    lhs, _ = _power_series(_em_coeff, 0, False, x)
     notes = ("lhs: zeta(-2n) series with zeta from Euler-Maclaurin "
              "continuation; rhs: -1/2")
     return [("", lhs, mpf(-1) / 2)], notes
 
 
 def _id_alt_cos_limit(x):
-    lhs = _limit_series_em(True, x)
+    lhs, _ = _power_series(_em_coeff, 0, True, x)
     notes = ("lhs: eta(-2n) series with eta from Euler-Maclaurin "
              "continuation; rhs: 1/2")
     return [("", lhs, mpf(1) / 2)], notes
@@ -197,9 +201,8 @@ def _id_bernoulli_odd(m):
 
 
 def _id_half_point_value(_):
-    """lhs: sum_n (-1)^{n+1} zeta'(-(2n+1)) pi^{2n+1}/(2n+1)! by sum_taylor."""
-    lhs, _n = sum_taylor(
-        lambda n: -zeta_sderiv_at_negatives(2 * n + 1), mp.pi, 1)
+    """lhs: sum_n (-1)^{n+1} zeta'(-(2n+1)) pi^{2n+1}/(2n+1)!."""
+    lhs = -_power_series(_zeta_sderiv_coeff, 1, 0, mpf(1) / 2)[0]
     rhs = (euler_gamma() + mp.log(mp.pi)) / mp.pi
     notes = ("lhs: zeta'(-odd) series at the half point via the reflection "
              "substitution; rhs: (gamma + log pi)/pi")
@@ -211,16 +214,15 @@ def _log_cos_s1_closed(t):
     at s = 1, where the prefactor pole and the zeta(s) pole cancel:
     value = p2 + gamma1 - sum_{n>=1} (-1)^n zeta'(1-2n) (2 pi t)^{2n}/(2n)!
     with p2 the quadratic coefficient of e^{wL}/Gamma(1+w) * (piw/2)/sin(piw/2).
-    The sum is sum_taylor's at p = 2, with n shifted down by one.
+    The sum is a Taylor series at p = 2, with n shifted down by one.
     """
     if t > mpf(1) / 2:
         t = 1 - t  # cos(2 n pi t) is even about t = 1/2 termwise
     L = mp.log(2 * mp.pi * t)
     g = euler_gamma()
     p2 = L * L / 2 + g * L + g * g / 2 - mp.pi ** 2 / 24
-    T, _ = sum_taylor(
-        lambda n: -zeta_sderiv_at_negatives(2 * n + 1), 2 * mp.pi * t, 2)
-    return p2 + stieltjes_gamma1(1) - T
+    T, _ = _power_series(_zeta_sderiv_coeff, 2, 1, t)
+    return p2 + stieltjes_gamma1(1) + T
 
 
 def _id_deninger_log_cos(t):
@@ -270,13 +272,12 @@ def _id_log_cos_limit(x):
 
 def _log_sin_s1_closed(t):
     """sum_n log n sin(2 pi n t)/n from the s=1 derivative of the sine closed
-    form: -(pi/2)(gamma + log 2 pi t) less sum_taylor's zeta'(-2n) tail."""
+    form: -(pi/2)(gamma + log 2 pi t) less its zeta'(-2n) Taylor tail."""
     sign = mpf(1)
     if t > mpf(1) / 2:
         t, sign = 1 - t, mpf(-1)  # sin(2 n pi t) is odd about t = 1/2 termwise
     w = 2 * mp.pi * t
-    T, _ = sum_taylor(lambda n: (zeta_sderiv_at_negatives(2 * n) if n
-                                 else zeta_prime_at_zero()), w, 1)
+    T, _ = _power_series(_zeta_sderiv_coeff, 1, 1, t)
     return sign * (-mp.pi / 2 * (euler_gamma() + mp.log(w)) - T)
 
 

@@ -1,76 +1,103 @@
 """Generic summation utilities.
 
-A summer for rapidly decaying tails and its stepped Taylor form, which share
-one loop and its one stop rule (three consecutive terms below tolerance/100)
-and add raw mpf tuples (mpmath.libmp) with the roundings of the mpf
-operators; Richardson extrapolation; and a series transform for slowly
-convergent oscillatory sums sum_n g(n) z^n with |z| <= 1, z != 1."""
+The one power-series kernel, behind every zeta power series in the package
+and sum_taylor, and a generic summer for rapidly decaying mpf terms, under
+one stop rule (three consecutive terms below tolerance/100); Richardson
+extrapolation; and a series transform for slowly convergent oscillatory
+sums sum_n g(n) z^n with |z| <= 1, z != 1."""
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fzero, from_int, mpf_abs, mpf_add, mpf_div, mpf_lt,
-                          mpf_mul, mpf_neg, to_fixed)
+from mpmath.libmp import (fzero, from_man_exp, mpf_abs, mpf_add, mpf_lt,
+                          to_fixed)
 
-from .config import EvalConfig, tolerance, workprec, xreal
+from .config import CACHE_CAP, EvalConfig, memo, tolerance, workprec, xreal
 from .errors import ArityError, ConvergenceError, DomainError
 
-# Terms either summer may take before it raises ConvergenceError.
+# Terms any summer may take before it raises ConvergenceError.
 MAX_TERMS = 10**6
 
-
-def _sum_raw(term):
-    """The one stop rule: add the raw mpf tuples term(0), term(1), ... at
-    the current precision until three consecutive terms fall below
-    tolerance/100 in magnitude (parity-masked zero terms from sin/cos must
-    not halt summation early). Returns (sum as an mpf, terms_used)."""
-    prec, rnd = mp._prec_rounding
-    stop = (tolerance() / 100)._mpf_
-    acc = fzero
-    small = n = 0
-    while small < 3:
-        if n >= MAX_TERMS:
-            raise ConvergenceError(
-                f"series did not decay within {MAX_TERMS} terms")
-        t = term(n)
-        acc = mpf_add(acc, t, prec, rnd)
-        small = small + 1 if mpf_lt(mpf_abs(t, prec, rnd), stop) else 0
-        n += 1
-    return mp.make_mpf(acc), n
+# Bits the fixed-point power series carry beyond mp.prec.
+GUARD_BITS = 16
 
 
 def sum_entire(term: Callable[[int], mpf], cfg: EvalConfig | None = None):
     """Sum the real terms term(0) + term(1) + ... of a rapidly decaying tail,
-    calling term with n = 0, 1, 2, ... in order, until the stop rule holds.
-    Returns (sum, terms_used)."""
+    calling term with n = 0, 1, 2, ... in order, until three consecutive
+    terms fall below tolerance/100 in magnitude (parity-masked zero terms
+    from sin/cos must not halt summation early). Returns (sum, terms_used)."""
     with workprec(cfg):
-        return _sum_raw(lambda n: mp.convert(term(n))._mpf_)
+        prec, rnd = mp._prec_rounding
+        stop = (tolerance() / 100)._mpf_
+        acc = fzero
+        small = n = 0
+        while small < 3:
+            if n >= MAX_TERMS:
+                raise ConvergenceError(
+                    f"series did not decay within {MAX_TERMS} terms")
+            t = mp.convert(term(n))._mpf_
+            acc = mpf_add(acc, t, prec, rnd)
+            small = small + 1 if mpf_lt(mpf_abs(t, prec, rnd), stop) else 0
+            n += 1
+        return mp.make_mpf(acc), n
+
+
+@memo(cap=CACHE_CAP // 64)
+def _coeff_table(coeff, p: int, s) -> list[int]:
+    """The b_n of _power_series(coeff, p, s, .) as integers
+    b_n 2^(mp.prec + GUARD_BITS); empty until _power_series extends it.
+    Each table holds tens to hundreds of values, so fewer are kept."""
+    return []
+
+
+def _power_series(coeff, p: int, s, y: mpf, table: list[int] | None = None):
+    """sum_n b_n y^k, k = 2n+p, b_n = (-1)^n coeff(s, k) (2 pi)^k/k!: the
+    Taylor series sum_n (-1)^n c_k w^k/k! at w = 2 pi y, normalised so that
+    |b_n| stays bounded (zeta values grow like k!/(2 pi)^k) and, for
+    |y| <= 1, one fixed-point error bound holds at every n. It runs on
+    integers at mp.prec + GUARD_BITS bits under the stop rule. The b_n come
+    from _coeff_table(coeff, p, s), so coeff must be a module-level function
+    for the key to last, or from the caller's own *table*; each is computed
+    where the table ends, so the bits are the same warm or cold.
+    Returns (sum, terms_used)."""
+    prec, rnd = mp._prec_rounding
+    bits = prec + GUARD_BITS
+    if table is None:
+        table = _coeff_table(coeff, p, s)
+    yf = to_fixed(y._mpf_, bits)
+    y2 = yf * yf >> bits
+    yk = yf ** p >> bits * (p - 1) if p else 1 << bits  # y^p
+    stop = to_fixed((tolerance() / 100)._mpf_, bits)
+    acc = small = n = 0
+    while small < 3:
+        if n == len(table):
+            if n >= MAX_TERMS:
+                raise ConvergenceError(
+                    f"series did not decay within {MAX_TERMS} terms")
+            k = 2 * n + p
+            b = coeff(s, k) * mp.power(2 * mp.pi, k) / mp.factorial(k)
+            table.append(to_fixed((-b if n % 2 else b)._mpf_, bits))
+        t = table[n] * yk >> bits
+        acc += t
+        small = small + 1 if -stop < t < stop else 0
+        yk = yk * y2 >> bits
+        n += 1
+    return mp.make_mpf(from_man_exp(acc, -bits, prec, rnd)), n
 
 
 def sum_taylor(c: Callable[[int], mpf], w, p: int,
                cfg: EvalConfig | None = None):
-    """sum_{n>=0} (-1)^n c(n) w^{2n+p}/(2n+p)! for real c(n), under the same
-    stop rule, with the monomial stepped, m_0 = w^p/p! and
-    m_{n+1} = (-m_n w^2)/((2n+p+1)(2n+p+2)), so no term takes a power or a
-    factorial. The step rounds as those mpf expressions do, so value and
-    terms_used equal sum_entire's on the mpf-stepped term.
-    Returns (sum, terms_used)."""
+    """sum_{n>=0} (-1)^n c(n) w^{2n+p}/(2n+p)! for real c(n), by
+    _power_series at y = 1 with c_k = c(n) (w/(2 pi))^k, so each b_n is the
+    term itself, over a table built for this call alone: no caller's
+    callable enters the table memo. Returns (sum, terms_used)."""
     with workprec(cfg):
-        prec, rnd = mp._prec_rounding
-        w = xreal(w)
-        w2 = (w * w)._mpf_
-        m = (mp.power(w, p) / mp.factorial(p))._mpf_
-
-        def term(n):
-            nonlocal m
-            t = mpf_mul(mp.convert(c(n))._mpf_, m, prec, rnd)
-            k = 2 * n + p
-            m = mpf_div(mpf_mul(mpf_neg(m), w2, prec, rnd),
-                        from_int((k + 1) * (k + 2)), prec, rnd)
-            return t
-        return _sum_raw(term)
+        u = xreal(w) / (2 * mp.pi)
+        return _power_series(lambda s, k: c((k - p) // 2) * mp.power(u, k),
+                             p, None, mpf(1), [])
 
 
 def richardson_extrapolate(samples: Sequence[tuple], order: int):

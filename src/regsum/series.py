@@ -11,16 +11,14 @@ prefactor is singular, the closed form's L'Hopital limit. The
 Abel oracle (Abel summation with Richardson extrapolation) is independent of
 every closed form and is the route for log weights at s > 0.
 
-Every zeta power series, the closed forms' tails and those of the
-integer branches and the sine s -> 0 limits, is sum_n b_n x^{2n+p} at a
-mirrored or shifted x <= 1/2, with b_n = (-1)^n c_n (2 pi)^{2n+p}/(2n+p)!
-normalised: |b_n| stays below about 2 e^{2 pi}, except next to the zeta(1)
-pole, and x^{2n+p} <= 1, so one fixed-point error bound holds at every n.
-The b_n are kept per (tail, s, precision) as fixed-point integers by
-config.memo, in a table extended only as far as an x needs, so a closed
-form at a new x with a seen s is one memo read and a short integer loop;
-the parity distance and the prefactor's s-only denominator are kept per
-(s, precision) too.
+Every zeta power series here, the closed forms' tails and those of the
+integer branches, the sine s -> 0 limits and the odd-zeta series of the
+cosine log limit, is kernels._power_series at a mirrored or shifted
+x <= 1/2 over a coefficient source of this module: its normalised
+coefficients are kept per (source, s, precision) as fixed-point integers,
+so a closed form at a new x with a seen s is one memo read and a short
+integer loop; the parity distance and the prefactor's s-only denominator
+are kept per (s, precision) too.
 """
 
 from __future__ import annotations
@@ -29,15 +27,13 @@ import warnings
 from dataclasses import dataclass, replace
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, to_fixed
 
 from .bernoulli import bernoulli_poly_coeffs, harmonic_number, poly_eval
-from .config import CACHE_CAP, EvalConfig, memo, tolerance, workprec, xreal
+from .config import EvalConfig, memo, tolerance, workprec, xreal
 from .errors import (CapabilityError, ConvergenceError, DomainError,
                      PoleError, PrecisionLossWarning, RedirectError)
 from .gammafn import digamma, gamma_fn
-from .kernels import (MAX_TERMS, richardson_extrapolate, sum_entire,
-                      sum_oscillatory)
+from .kernels import _power_series, richardson_extrapolate, sum_oscillatory
 from .zeta import (_rz, _zpn, euler_gamma, log_two_pi, riemann_zeta,
                    hurwitz_zeta_deriv)
 
@@ -48,9 +44,6 @@ WEIGHTS = ("unit", "log", "log2")  # log2 means (log n)^2
 # r -> 1 by a degree-RICHARDSON_ORDER polynomial in h = 1 - r.
 ABEL_R_LEVELS = 12
 RICHARDSON_ORDER = 6
-
-# Bits the fixed-point tails carry beyond mp.prec.
-TAIL_GUARD_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -91,10 +84,6 @@ def _weight_fn(weight: str):
     if weight == "log":
         return lambda n: mp.log(n)
     return lambda n: mp.log(n) ** 2
-
-
-def _is_int(v: mpf) -> bool:
-    return v == mp.floor(v)
 
 
 def _mirror(kernel: str, x: mpf):
@@ -155,52 +144,20 @@ def _zeta_deriv_coeff(s: mpf, k: int) -> mpf:
     return -_zpn(k)
 
 
-@memo(cap=CACHE_CAP // 64)
-def _tail_table(coeff, p: int, s: mpf) -> list[int]:
-    """b_n = (-1)^n coeff(s, 2n+p) (2 pi)^{2n+p}/(2n+p)! as integers
-    b_n 2^(mp.prec + TAIL_GUARD_BITS); empty until _taylor_tail extends it.
-    Each table holds tens to hundreds of values, so fewer are kept."""
-    return []
-
-
-def _taylor_tail(coeff, p: int, s: mpf, x: mpf):
-    """sum_n b_n x^{2n+p} over _tail_table(coeff, p, s) for 0 < x <= 1/2,
-    in fixed point at mp.prec + TAIL_GUARD_BITS bits: one integer product
-    steps x^{2n+p} and one forms the term. The stop rule is sum_entire's,
-    three consecutive terms below tolerance/100. Appending b_n to the table
-    where it ends keeps every value the same bits, warm or cold.
-    Returns (sum, terms_used)."""
-    prec, rnd = mp._prec_rounding
-    bits = prec + TAIL_GUARD_BITS
-    table = _tail_table(coeff, p, s)
-    xf = to_fixed(x._mpf_, bits)
-    x2 = xf * xf >> bits
-    xk = xf if p else 1 << bits
-    stop = to_fixed((tolerance() / 100)._mpf_, bits)
-    acc = small = n = 0
-    while small < 3:
-        if n == len(table):
-            if n >= MAX_TERMS:
-                raise ConvergenceError(
-                    f"series did not decay within {MAX_TERMS} terms")
-            k = 2 * n + p
-            b = coeff(s, k) * mp.power(2 * mp.pi, k) / mp.factorial(k)
-            table.append(to_fixed((-b if n % 2 else b)._mpf_, bits))
-        t = table[n] * xk >> bits
-        acc += t
-        small = small + 1 if -stop < t < stop else 0
-        xk = xk * x2 >> bits
-        n += 1
-    return mp.make_mpf(from_man_exp(acc, -bits, prec, rnd)), n
+def _odd_zeta_coeff(s: mpf, k: int) -> mpf:
+    """-2 zeta'(-k) at even k from riemann_zeta(k + 1) (s is unused): its
+    Taylor series at p = 2 is sum_n zeta(2n+3) x^{2n+2}."""
+    return ((-1) ** (k // 2 + 1) * mp.factorial(k) * riemann_zeta(k + 1)
+            / mp.power(2 * mp.pi, k))
 
 
 def _plain_tail(kernel: str, x: mpf, s: mpf):
     """sum_n (-1)^n zeta(s-2n-1) w^{2n+1}/(2n+1)!  (sin)
        sum_n (-1)^n zeta(s-2n)   w^{2n}/(2n)!      (cos),  w = 2 pi x,
     for 0 < x <= 1/2, less the zeta(1) term (at the parity-singular
-    integers, where _parity_limit's head replaces it), by _taylor_tail
+    integers, where _parity_limit's head replaces it), by _power_series
     over the memoised table of (kernel, s, precision)."""
-    return _taylor_tail(_zeta_coeff, 1 if kernel == "sin" else 0, s, x)
+    return _power_series(_zeta_coeff, 1 if kernel == "sin" else 0, s, x)
 
 
 def _prefactor(kernel: str, x: mpf, s: mpf) -> mpf:
@@ -274,7 +231,7 @@ def _plain_limit(kernel: str, weight: str, x: mpf) -> RegularizedValue:
         tail, n = _plain_tail(kernel, x, mpf(0))
     else:
         head = -(euler_gamma() + mp.log(w)) / w
-        tail, n = _taylor_tail(_zeta_deriv_coeff, 1, mpf(0), x)
+        tail, n = _power_series(_zeta_deriv_coeff, 1, mpf(0), x)
     return RegularizedValue(+(sign * (head + tail)), "closed_form", +tol, n)
 
 
@@ -344,23 +301,19 @@ def closed_form_series(spec: SeriesSpec, cfg: EvalConfig | None = None) -> Regul
 # --------------------------------------------------------------------------
 
 def log_cos_limit_series(x, cfg: EvalConfig | None = None) -> mpf:
-    """Power-series route for lim_{s->0} sum log n cos(2 n pi x)/n^s, its
-    powers of x stepped by x^2 from term to term:
+    """Power-series route for lim_{s->0} sum log n cos(2 n pi x)/n^s at the
+    mirrored x <= 1/2,
 
-        -1/(4x) + log(2 pi)/2 - (1/2) sum_{n>=1} zeta(2n+1) x^{2n}
+        -1/(4x) + log(2 pi)/2 - (1/2) sum_{n>=1} zeta(2n+1) x^{2n},
+
+    the sum by _power_series over the memoised table of _odd_zeta_coeff.
     """
     with workprec(cfg):
         x = xreal(x)
         if not (0 < x < 1):
             raise DomainError("x must lie in (0, 1)")
         x, _ = _mirror("cos", x)
-        x2 = xp = x * x  # xp = x^{2n+2} for term n
-
-        def term(n):
-            nonlocal xp
-            t, xp = riemann_zeta(2 * n + 3) * xp, xp * x2
-            return t
-        acc, _ = sum_entire(term)
+        acc, _ = _power_series(_odd_zeta_coeff, 2, 0, x)
         return +(-1 / (4 * x) + log_two_pi() / 2 - acc / 2)
 
 
@@ -474,7 +427,7 @@ def abel_oracle(spec: SeriesSpec, cfg: EvalConfig | None = None) -> RegularizedV
         wfn = _weight_fn(spec.weight)
         if s == 0:
             term = wfn
-        elif _is_int(s):
+        elif s == mp.floor(s):
             si = int(s)
             term = (lambda n: wfn(n) / mpf(n) ** si)
         else:

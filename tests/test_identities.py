@@ -10,10 +10,11 @@ from regsum import (CapabilityError, DEFAULT_CONFIG, DomainError, EvalConfig,
                     UnknownIdentityError,
                     euler_gamma, hurwitz_zeta_deriv,
                     integer_sin_series, polylog_unimodular, regularized_limit,
-                    run_suite, verify_identity, workprec)
+                    cache_stats, run_suite, verify_identity, workprec)
 import regsum.identities as identities_mod
+import regsum.kernels as kernels_mod
 import regsum.series as series_mod
-from regsum.config import tolerance
+from regsum.config import memo, tolerance
 
 from refs import catalan, polylog_log_weight
 
@@ -63,6 +64,17 @@ def test_deninger_at_half_reduces_to_log_two_form():
         ref = euler_gamma(CFG) * mp.log(2) - mp.log(2) ** 2 / 2
         assert abs(r.lhs - ref) < mpf("1e-10")
         assert abs(r.rhs - ref) < mpf("1e-10")
+
+
+@pytest.mark.parametrize("t", ["0.01", "0.3", "0.5", "0.99"])
+def test_deninger_lhs_against_the_log_weighted_polylog(t):
+    # the s = 1 derivative's zeta'(1-2n) series starts at w^2 (p = 2)
+    with workprec(CFG):
+        r = verify_identity("deninger_log_cos", mpf(t), CFG)
+        assert r.passed
+        with mp.extradps(20):
+            ref = polylog_log_weight(mpf(t), 1, 1).real
+        assert abs(r.lhs - ref) < tolerance(CFG), t
 
 
 def test_bernoulli_odd_single_m():
@@ -315,3 +327,57 @@ def test_no_identity_calls_the_abel_or_direct_oracle(monkeypatch):
         point = {"x": mpf("0.3"), "int": 3, "none": None}[defn.point_kind]
         r = verify_identity(name, point, CFG)
         assert r.passed or name == "zeta_dd_fourier", name
+
+
+# ------------------------- coefficient tables ----------------------------
+
+TABLE_SIDES = ["cos_limit", "alt_cos_limit", "half_point_value",
+               "deninger_log_cos", "log_cos_limit", "kummer_log_sin"]
+
+
+@pytest.mark.parametrize("name", TABLE_SIDES)
+def test_table_sides_warm_equal_cold(monkeypatch, name):
+    # the lhs at x2 has the same bits from a table that a smaller or a
+    # larger x1 began as from one built for x2 alone
+    table = kernels_mod._coeff_table.__wrapped__
+
+    def lhs(*xs):
+        # an empty table memo: the zeta values behind it stay memoised
+        monkeypatch.setattr(kernels_mod, "_coeff_table", memo(cap=8)(table))
+        for x in xs:
+            r = verify_identity(name, mpf(x), CFG)
+        return r.lhs._mpf_
+
+    cold = lhs("0.3")
+    for x1 in ("0.1", "0.45", "0.9"):
+        assert lhs(x1, "0.3") == cold, x1
+
+
+def test_second_cos_limit_point_runs_no_em_pass(monkeypatch):
+    calls = []
+    real = identities_mod.hurwitz_zeta_deriv
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(identities_mod, "hurwitz_zeta_deriv", counted)
+    monkeypatch.setattr(kernels_mod, "_coeff_table",
+                        memo(cap=8)(kernels_mod._coeff_table.__wrapped__))
+    verify_identity("cos_limit", mpf("0.7"), CFG)
+    first = len(calls)
+    r = verify_identity("cos_limit", mpf("0.3"), CFG)
+    assert r.passed
+    assert first > 0 and len(calls) == first
+
+
+def test_cache_stats_counts_the_table_reads():
+    verify_identity("cos_limit", mpf("0.7"), CFG)
+    before = cache_stats()
+    verify_identity("cos_limit", mpf("0.3"), CFG)
+    after = cache_stats()
+    assert {"kernels._coeff_table", "zeta._rz", "series._prefactor_den",
+            "identities._gamma1_oracle", "config._tolerance"} <= set(after)
+    table = "kernels._coeff_table"
+    assert after[table].hits > before[table].hits
+    assert after[table].misses == before[table].misses
+    assert after[table].maxsize == before[table].maxsize

@@ -1,5 +1,5 @@
-"""The rapid-tail summer and its Taylor form, Richardson extrapolation, the
-oscillatory transform."""
+"""The rapid-tail summer, the fixed-point power-series kernel behind
+sum_taylor, Richardson extrapolation, the oscillatory transform."""
 
 from fractions import Fraction
 
@@ -9,7 +9,7 @@ from mpmath import mp, mpf
 
 from regsum import (ArityError, ConvergenceError, DomainError,
                     DEFAULT_CONFIG, EvalConfig, SeriesSpec,
-                    closed_form_series, kernels, regularized_limit,
+                    closed_form_series, kernels, regularized_limit, series,
                     richardson_extrapolate, riemann_zeta, sum_entire,
                     sum_oscillatory, sum_taylor, workprec)
 from regsum.config import tolerance, xreal
@@ -72,7 +72,7 @@ def test_sum_taylor_trig(digits):
 
 
 def test_sum_taylor_zeta_tail():
-    # the stepped monomial against termwise powers and factorials
+    # the fixed-point kernel against termwise powers and factorials
     with workprec(CFG):
         w = mp.pi / 2
 
@@ -85,31 +85,66 @@ def test_sum_taylor_zeta_tail():
         assert n == n_ref
 
 
-def _stepped_term(c, w, p):
-    """The Taylor term with its monomial stepped as mpf expressions,
-    m_{n+1} = (-m_n w^2)/((2n+p+1)(2n+p+2)): sum_taylor's reference."""
-    w2, m = w * w, mp.power(w, p) / mp.factorial(p)
-
-    def term(n):
-        nonlocal m
-        t, m = c(n) * m, -m * w2 / ((2 * n + p + 1) * (2 * n + p + 2))
-        return t
-    return term
+def _taylor_ref(zeta_c, w, p):
+    """sum_n (-1)^n c(n) w^{2n+p}/(2n+p)! by mpmath, p = 0, 1, 2: for c = 1
+    the cosine, the sine and 1 - cosine; for c(n) = zeta(-2n-1) the Clausen
+    forms Cl_{-1}(w) + 1/w^2, Cl_0(w) - 1/w and -(Cl_1(w) + log w), the
+    regularized sums of n cos(n w), sin(n w) and cos(n w)/n less their
+    singular parts at w = 0 (the last negated)."""
+    if not zeta_c:
+        return (mp.cos(w), mp.sin(w), 1 - mp.cos(w))[p]
+    return (mp.clcos(-1, w) + 1 / w ** 2, mp.clsin(0, w) - 1 / w,
+            -mp.clcos(1, w) - mp.log(w))[p]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(j=st.integers(1, 2**20), p=st.sampled_from((0, 1, 2)),
+@given(j=st.integers(1, 2**20 - 1), p=st.sampled_from((0, 1, 2)),
        digits=st.sampled_from((30, 50, 100)), zeta_c=st.booleans())
-def test_sum_taylor_bits_equal_sum_entire(j, p, digits, zeta_c):
-    # the raw-tuple loop rounds as the mpf expressions do: same bits, same n
-    with workprec(EvalConfig(digits)):
-        w = mp.pi * j / 2**20  # w in (0, pi]
+def test_sum_taylor_against_trig_and_clausen(j, p, digits, zeta_c):
+    # w in (0, 2 pi); the zeta series converge for w < 2 pi only, and
+    # slowly near it, so they take w in (0, 3 pi/2)
+    cfg = EvalConfig(digits)
+    with workprec(cfg):
+        w = 2 * mp.pi * j / 2**20 * (mpf(3) / 4 if zeta_c else 1)
         c = ((lambda n: riemann_zeta(-2 * n - 1)) if zeta_c
              else (lambda n: mpf(1)))
-        val, n = sum_taylor(c, w, p)
-        ref, n_ref = sum_entire(_stepped_term(c, w, p))
-        assert val._mpf_ == ref._mpf_
-        assert n == n_ref
+        val, _ = sum_taylor(c, w, p)
+        with mp.extradps(30):
+            ref = _taylor_ref(zeta_c, w, p)
+        assert abs(val - ref) < tolerance(cfg), (w, p)
+
+
+def _one(s, k):
+    return mpf(1)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_power_series_starts_at_y_to_the_p(p):
+    # c_k = 1 at y: cos, sin and 1 - cos of w = 2 pi y, the first term y^p
+    with workprec(CFG):
+        for y in (mpf("0.01"), mpf("0.3"), mpf("0.5"), mpf("0.9")):
+            w = 2 * mp.pi * y
+            val, _ = kernels._power_series(_one, p, 0, y, [])
+            ref = (mp.cos(w), mp.sin(w), 1 - mp.cos(w))[p]
+            assert abs(val - ref) < tolerance(CFG), (p, y)
+
+
+def test_sum_taylor_leaves_the_table_memo_alone():
+    # a caller's callables build throwaway tables: 200 fresh lambdas evict
+    # no zeta tail table and add no entry
+    spec = SeriesSpec("sin", Fraction(5, 16), Fraction(27, 8))
+    closed_form_series(spec, CFG)
+    with workprec(CFG):
+        key = (series._zeta_coeff, 1, xreal(spec.s))
+        info = kernels._coeff_table.cache_info()
+        table = kernels._coeff_table(*key)
+        size = len(table)
+        for i in range(200):
+            sum_taylor(lambda n, i=i: mpf(i), mpf(1) / 3, i % 3)
+        after = kernels._coeff_table.cache_info()
+        assert after.currsize == info.currsize
+        assert (after.hits, after.misses) == (info.hits + 1, info.misses)
+        assert kernels._coeff_table(*key) is table and len(table) == size
 
 
 def test_sum_entire_nondecay_raises(monkeypatch):

@@ -13,7 +13,7 @@ from regsum import (CapabilityError, DEFAULT_CONFIG, DomainError, EvalConfig,
                     gamma_fn, integer_cos_series, integer_sin_series,
                     log_cos_limit_series,
                     regularized_limit, riemann_zeta, workprec)
-from regsum import series
+from regsum import kernels, series
 from regsum.config import CACHE_CAP, memo, tolerance, working_dps, xreal
 from regsum.zeta import _rz
 
@@ -435,11 +435,11 @@ def test_tail_table_warm_equals_cold(monkeypatch, kernel, alternating):
     # x2 reads the same bits from a table that a larger x1 extended first,
     # or that a smaller x1 began, as from one built for x2 alone
     s = Fraction(37, 16)
-    table = series._tail_table.__wrapped__
+    table = kernels._coeff_table.__wrapped__
 
     def last_value(*xs):
         # an empty table memo: the zeta values behind it stay memoised
-        monkeypatch.setattr(series, "_tail_table", memo(cap=1)(table))
+        monkeypatch.setattr(kernels, "_coeff_table", memo(cap=1)(table))
         for x in xs:
             rv = closed_form_series(SeriesSpec(kernel, x, s, alternating), CFG)
         return rv.value._mpf_
@@ -466,7 +466,7 @@ def test_tail_table_memo_is_bounded():
     for i in range(cap + 10):
         s = 4 + Fraction(2 * i + 1, 2 * (cap + 10))
         closed_form_series(SeriesSpec("sin", Fraction(1, 64), s), cfg)
-    info = series._tail_table.cache_info()
+    info = kernels._coeff_table.cache_info()
     assert info.maxsize == cap
     assert info.currsize == cap
 
