@@ -33,8 +33,9 @@ CACHE_CAP = 4096
 class EvalConfig:
     """The precision an outermost regsum call applies; nested calls inherit.
 
-    The absolute tolerance is 10^-(precision_digits - 30), i.e. 1e-20 at the
-    default 50-digit precision; see :func:`tolerance`.
+    The absolute tolerance is 10^-max(precision_digits - 30, 10), i.e. 1e-20
+    at the default 50-digit precision and 1e-10 from 30 to 40 digits; see
+    :func:`tolerance`.
     """
 
     precision_digits: int = 50
@@ -73,8 +74,9 @@ def workprec(cfg: EvalConfig | None = None):
 
 
 def tolerance(cfg: EvalConfig | None = None) -> mpf:
-    """10^-(precision_digits - 30) at *cfg*'s working precision, whatever the
-    caller's mp.dps; *cfg* defaults to the active config. Memoised."""
+    """10^-max(precision_digits - 30, 10), floored so 30 digits keep ten,
+    at *cfg*'s working precision, whatever the caller's mp.dps; *cfg*
+    defaults to the active config. Memoised."""
     return _tolerance(cfg or _ACTIVE.get() or DEFAULT_CONFIG)
 
 
@@ -123,4 +125,4 @@ def cache_stats() -> dict:
 @memo
 def _tolerance(cfg: EvalConfig) -> mpf:
     with mp.workdps(working_dps(cfg)):
-        return mpf(10) ** -(cfg.precision_digits - 30)
+        return mpf(10) ** -max(cfg.precision_digits - 30, 10)

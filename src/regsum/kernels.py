@@ -53,6 +53,12 @@ def _coeff_table(coeff, p: int, s) -> list[int]:
     return []
 
 
+@memo
+def _fixed_stop() -> int:
+    """_power_series' stop, tolerance()/100 at mp.prec + GUARD_BITS bits."""
+    return to_fixed((tolerance() / 100)._mpf_, mp.prec + GUARD_BITS)
+
+
 def _power_series(coeff, p: int, s, y: mpf, table: list[int] | None = None):
     """sum_n b_n y^k, k = 2n+p, b_n = (-1)^n coeff(s, k) (2 pi)^k/k!: the
     Taylor series sum_n (-1)^n c_k w^k/k! at w = 2 pi y, normalised so that
@@ -70,7 +76,7 @@ def _power_series(coeff, p: int, s, y: mpf, table: list[int] | None = None):
     yf = to_fixed(y._mpf_, bits)
     y2 = yf * yf >> bits
     yk = yf ** p >> bits * (p - 1) if p else 1 << bits  # y^p
-    stop = to_fixed((tolerance() / 100)._mpf_, bits)
+    stop = _fixed_stop()
     acc = small = n = 0
     while small < 3:
         if n == len(table):

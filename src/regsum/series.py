@@ -11,25 +11,23 @@ prefactor is singular, the closed form's L'Hopital limit. The
 Abel oracle (Abel summation with Richardson extrapolation) is independent of
 every closed form and is the route for log weights at s > 0.
 
-Every zeta power series here, the closed forms' tails and those of the
-integer branches, the sine s -> 0 limits and the odd-zeta series of the
-cosine log limit, is kernels._power_series at a mirrored or shifted
-x <= 1/2 over a coefficient source of this module: its normalised
-coefficients are kept per (source, s, precision) as fixed-point integers,
-so a closed form at a new x with a seen s is one memo read and a short
-integer loop; the parity distance and the prefactor's s-only denominator
-are kept per (s, precision) too.
+Every zeta power series here is kernels._power_series at a mirrored or
+shifted x <= 1/2, its coefficients kept per (source, s, precision) as
+fixed-point integers. The rest of what x leaves alone, the route and its
+constants, is one plan per (kernel, weight, s, precision), so a closed
+form at a new x with a seen s is a plan read, a power and a short loop.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
 
 from .bernoulli import bernoulli_poly_coeffs, harmonic_number, poly_eval
-from .config import EvalConfig, memo, tolerance, workprec, xreal
+from .config import CACHE_CAP, EvalConfig, memo, tolerance, workprec, xreal
 from .errors import (CapabilityError, ConvergenceError, DomainError,
                      PoleError, PrecisionLossWarning, RedirectError)
 from .gammafn import digamma, gamma_fn
@@ -86,30 +84,34 @@ def _weight_fn(weight: str):
     return lambda n: mp.log(n) ** 2
 
 
+# x = 1/2 at any precision: 0.5 is exact in every mpf.
+_HALF = mpf(1) / 2
+
+
 def _mirror(kernel: str, x: mpf):
-    """Reflect x > 1/2 to 1-x using the termwise parity of the kernel.
+    """(x', neg) with the plain series at x equal to that at x', negated if
+    neg: x > 1/2 reflects to 1-x by the termwise parity of the kernel.
 
     sin(2 n pi (1-x)) = -sin(2 n pi x) and cos(2 n pi (1-x)) = cos(2 n pi x),
     so the reduction is exact for every series here; it keeps the power-series
     tails (ratio x^2) fast.
     """
-    if x > mpf(1) / 2:
-        return 1 - x, (mpf(-1) if kernel == "sin" else mpf(1))
-    return x, mpf(1)
+    if x > _HALF:
+        return 1 - x, kernel == "sin"
+    return x, False
 
 
 def _half_shift(kernel: str, x: mpf):
-    """(x', sign) with the alternating series at x equal to sign times the
-    plain series at x', for x != 1/2.
+    """(x', neg) with the alternating series at x equal to the plain series
+    at x', negated if neg, for x != 1/2.
 
     The plain series is negated at x + 1/2, which reduces to x - 1/2 by
     periodicity or, for x < 1/2, reflects to 1/2 - x with the kernel's
     mirror sign; 1/2 - x is formed directly so a small x loses no digits.
     """
-    half = mpf(1) / 2
-    if x > half:
-        return x - half, mpf(-1)
-    return half - x, (mpf(1) if kernel == "sin" else mpf(-1))
+    if x > _HALF:
+        return x - _HALF, True
+    return _HALF - x, kernel == "cos"
 
 
 def _half_point_value(kernel: str, weight: str, s: mpf) -> mpf:
@@ -151,126 +153,114 @@ def _odd_zeta_coeff(s: mpf, k: int) -> mpf:
             / mp.power(2 * mp.pi, k))
 
 
-def _plain_tail(kernel: str, x: mpf, s: mpf):
-    """sum_n (-1)^n zeta(s-2n-1) w^{2n+1}/(2n+1)!  (sin)
-       sum_n (-1)^n zeta(s-2n)   w^{2n}/(2n)!      (cos),  w = 2 pi x,
-    for 0 < x <= 1/2, less the zeta(1) term (at the parity-singular
-    integers, where _parity_limit's head replaces it), by _power_series
-    over the memoised table of (kernel, s, precision)."""
-    return _power_series(_zeta_coeff, 1 if kernel == "sin" else 0, s, x)
+class _Plan(NamedTuple):
+    """What the plain series needs at one (kernel, weight, s, precision)
+    that x leaves alone: eval(x) -> (value, terms_used, error_estimate),
+    and the method and warning of each result."""
+
+    eval: Callable
+    method: str = "closed_form"
+    warning: str | None = None
 
 
-def _prefactor(kernel: str, x: mpf, s: mpf) -> mpf:
-    """pi w^{s-1} / (2 Gamma(s) trig(pi s/2)), w = 2 pi x."""
-    return mp.pi * mp.power(2 * mp.pi * x, s - 1) / _prefactor_den(kernel, s)
+def _mirrored(kernel: str, head, coeff, s: mpf, err: mpf):
+    """eval of head(w) plus the zeta power series of coeff(s, .) at the
+    mirrored x, w = 2 pi x: the kernel's tail less its zeta(1) term."""
+    p = 1 if kernel == "sin" else 0
+    two_pi = 2 * mp.pi
+
+    def value(x):
+        x, neg = _mirror(kernel, x)
+        tail, n = _power_series(coeff, p, s, x)
+        v = head(two_pi * x) + tail
+        return (-v if neg else v), n, err
+    return value
 
 
-@memo
-def _prefactor_den(kernel: str, s: mpf) -> mpf:
-    """2 Gamma(s) trig(pi s/2), the prefactor's part that x leaves alone;
-    sinpi/cospi keep trig's relative accuracy next to its zeros, the
-    parity-singular integers."""
-    trig = mp.sinpi if kernel == "sin" else mp.cospi
-    return 2 * gamma_fn(s) * trig(s / 2)
+@memo(cap=CACHE_CAP // 64)
+def _plan(kernel: str, weight: str, s) -> _Plan:
+    """The plain series' one closed-form family at s >= 0, m = ceil(s/2):
+    - weight "bernoulli", integer_sin_series' route at odd s = 2m - 1:
+      (-1)^m (2 pi)^s / (2 s!) * B_s(x);
+    - s = 0: the regularized limit (unit and log weights);
+    - a parity-singular integer (sin at even s, cos at odd s; sin is
+      regular at s = 0, where the pole of Gamma(s) cancels sin(pi s/2)):
+      the L'Hopital limit (-1)^m w^{s-1}/(s-1)! [log w - H_{s-1}] + tail;
+    - else pi w^{s-1} / (2 Gamma(s) trig(pi s/2)) + tail, widening the
+      estimate and warning within 1e-3 of a parity-singular s; sinpi and
+      cospi keep trig's relative accuracy next to those integers.
+    The estimates are tolerance(): inside workprec the precision fixes
+    the config."""
+    s, tol = xreal(s), tolerance()
+    if weight == "bernoulli":
+        m = (int(s) - 1) // 2
+        coeffs = [mp.convert(c) for c in bernoulli_poly_coeffs(2 * m + 1)]
+        scale = ((-1) ** (m + 1) * (2 * mp.pi) ** (2 * m + 1)
+                 / (2 * mp.factorial(2 * m + 1)))
+        return _Plan(lambda x, t=+tol: (scale * poly_eval(coeffs, x), 0, t),
+                     "integer_branch")
+    if s == 0 and kernel == "cos":
+        if weight == "unit":
+            # zeta(-2n) = 0 for n >= 1; only zeta(0) = -1/2 survives.
+            return _Plan(lambda x, v=mpf(-1) / 2: (v, 1, +tol))
+        g, lg = euler_gamma(), log_two_pi()
 
-
-@memo
-def _parity_distance(kernel: str, s: mpf) -> mpf:
-    """Distance from s > 0 to the nearest integer where the prefactor is
-    singular: even s >= 2 for sin (at s = 0 the pole of Gamma(s) cancels
-    the zero of sin(pi s/2)), odd s for cos."""
-    if kernel == "sin":
-        return abs(s - max(2, 2 * mp.nint(s / 2)))
-    return abs(s - (2 * mp.nint((s - 1) / 2) + 1))
-
-
-def _parity_limit(kernel: str, x: mpf, s: int) -> RegularizedValue:
-    """The closed form's L'Hopital limit at a parity-singular integer s
-    (sin at even s, cos at odd s), m = ceil(s/2), w = 2 pi x mirrored:
-
-        (-1)^m w^{s-1}/(s-1)! * [log w - H_{s-1}]
-        + the kernel's zeta tail less its zeta(1) term,
-
-    H_{s-1} = psi(s) + gamma the harmonic number; terms_used counts the
-    whole tail."""
-    x, sign = _mirror(kernel, x)
-    w = 2 * mp.pi * x
-    head = ((-1) ** ((s + 1) // 2) * mp.power(w, s - 1) / mp.factorial(s - 1)
-            * (mp.log(w) - xreal(harmonic_number(s - 1))))
-    tail, n = _plain_tail(kernel, x, xreal(s))
-    return RegularizedValue(+(sign * (head + tail)), "integer_branch",
-                            +tolerance(), n)
-
-
-def _integer_branch(kernel: str, s: mpf):
-    """The exact-integer route where the prefactor is singular (sin at even
-    s, cos at odd s), else None."""
-    if _parity_distance(kernel, s) != 0:
-        return None
-    return integer_sin_series if kernel == "sin" else integer_cos_series
-
-
-def _plain_limit(kernel: str, weight: str, x: mpf) -> RegularizedValue:
-    """s -> 0 limits of the plain series for unit and log weights."""
-    tol = tolerance()
-    if kernel == "cos" and weight == "unit":
-        # zeta(-2n) = 0 for n >= 1; only zeta(0) = -1/2 survives.
-        return RegularizedValue(mpf(-1) / 2, "closed_form", +tol, 1)
-    if kernel == "cos":
-        g = euler_gamma()
-        v = (digamma(x) + mp.pi / 2 * mp.cospi(x) / mp.sinpi(x)
-             + g + log_two_pi()) / 2
-        series = log_cos_limit_series(x)
-        return RegularizedValue(+v, "closed_form",
-                                +max(tol, abs(v - series)), 0)
-    x, sign = _mirror(kernel, x)
-    w = 2 * mp.pi * x
-    if weight == "unit":
+        def value(x):
+            v = (digamma(x) + mp.pi / 2 * mp.cospi(x) / mp.sinpi(x)
+                 + g + lg) / 2
+            return +v, 0, +max(tol, abs(v - log_cos_limit_series(x)))
+        return _Plan(value)
+    if s == 0 and weight == "unit":
         # cot(pi x)/2 through the zeta(-odd) power series
-        head = 1 / w
-        tail, n = _plain_tail(kernel, x, mpf(0))
-    else:
-        head = -(euler_gamma() + mp.log(w)) / w
-        tail, n = _power_series(_zeta_deriv_coeff, 1, mpf(0), x)
-    return RegularizedValue(+(sign * (head + tail)), "closed_form", +tol, n)
-
-
-def _plain_value(kernel: str, weight: str, x: mpf, s: mpf) -> RegularizedValue:
-    """The plain series' one closed-form family: the s -> 0 limit, the
-    integer branch where the prefactor is singular, else prefactor plus
-    zeta tail at the mirrored x."""
+        return _Plan(_mirrored(kernel, lambda w: 1 / w, _zeta_coeff, s, +tol))
     if s == 0:
-        return _plain_limit(kernel, weight, x)
-    branch = _integer_branch(kernel, s)
-    if branch is not None:
-        return branch(x, int(s))
-    err = tolerance()
-    dist = _parity_distance(kernel, s)
+        g = euler_gamma()
+        return _Plan(_mirrored(kernel, lambda w: -(g + mp.log(w)) / w,
+                               _zeta_deriv_coeff, s, +tol))
+    if kernel == "sin":
+        dist = abs(s - max(2, 2 * mp.nint(s / 2)))
+    else:
+        dist = abs(s - (2 * mp.nint((s - 1) / 2) + 1))
+    if dist == 0:
+        si = int(s)
+        h = xreal(harmonic_number(si - 1))
+        den = (-1) ** ((si + 1) // 2) * mp.factorial(si - 1)
+        head = lambda w: mp.power(w, si - 1) / den * (mp.log(w) - h)
+        return _Plan(_mirrored(kernel, head, _zeta_coeff, s, +tol),
+                     "integer_branch")
+    err, warning = tol, None
     if dist < mpf("1e-3"):
-        warnings.warn(
-            f"s within {mp.nstr(dist, 3)} of a singular parity; "
-            f"~{int(-mp.log10(dist))} digits lost to prefactor cancellation",
-            PrecisionLossWarning)
-        err = err / dist
-    x, sign = _mirror(kernel, x)
-    tail, n = _plain_tail(kernel, x, s)
-    value = sign * (_prefactor(kernel, x, s) + tail)
-    return RegularizedValue(+value, "closed_form", +err, n)
+        warning = (f"s within {mp.nstr(dist, 3)} of a singular parity; "
+                   f"~{int(-mp.log10(dist))} digits lost to prefactor "
+                   f"cancellation")
+        err = tol / dist
+    trig = mp.sinpi if kernel == "sin" else mp.cospi
+    den = 2 * gamma_fn(s) * trig(s / 2)
+    pi, s1 = +mp.pi, s - 1
+    head = lambda w: pi * mp.power(w, s1) / den
+    return _Plan(_mirrored(kernel, head, _zeta_coeff, s, +err), "closed_form",
+                 warning)
 
 
-def _closed_form(spec: SeriesSpec) -> RegularizedValue:
-    """Any spec the closed forms cover, alternating ones through the
-    half-period shift. Runs inside the caller's working precision."""
+def _plain_value(plan: _Plan, x: mpf, neg: bool = False) -> RegularizedValue:
+    """The plain series at x by its plan, negated if neg."""
+    if plan.warning:
+        warnings.warn(plan.warning, PrecisionLossWarning)
+    v, n, err = plan.eval(x)
+    return RegularizedValue(-v if neg else v, plan.method, err, n)
+
+
+def _closed_form(spec: SeriesSpec, s: mpf, plan: _Plan) -> RegularizedValue:
+    """Any spec the closed forms cover by the plain series' plan,
+    alternating ones through the half-period shift; plan goes unread at
+    the alternating x = 1/2. Runs inside the caller's working precision."""
     x = xreal(spec.x)
-    s = xreal(spec.s)
     if not spec.alternating:
-        return _plain_value(spec.kernel, spec.weight, x, s)
-    if x == mpf(1) / 2:
+        return _plain_value(plan, x)
+    if x == _HALF:
         v = _half_point_value(spec.kernel, spec.weight, s)
         return RegularizedValue(+v, "closed_form", +tolerance(), 0)
-    xs, sign = _half_shift(spec.kernel, x)
-    rv = _plain_value(spec.kernel, spec.weight, xs, s)
-    return replace(rv, value=+(sign * rv.value))
+    return _plain_value(plan, *_half_shift(spec.kernel, x))
 
 
 def closed_form_series(spec: SeriesSpec, cfg: EvalConfig | None = None) -> RegularizedValue:
@@ -288,12 +278,13 @@ def closed_form_series(spec: SeriesSpec, cfg: EvalConfig | None = None) -> Regul
         if s <= 0:
             raise RedirectError("s = 0 is the regularized limit",
                                 branch="regularized_limit")
-        branch = None if spec.alternating else _integer_branch(spec.kernel, s)
-        if branch is not None:
+        plan = _plan(spec.kernel, "unit", s)
+        if plan.method == "integer_branch" and not spec.alternating:
+            branch = f"integer_{spec.kernel}_series"
             raise RedirectError(
                 f"{spec.kernel} prefactor singular at s = {int(s)}; "
-                f"use {branch.__name__}", branch=branch.__name__)
-        return _closed_form(spec)
+                f"use {branch}", branch=branch)
+        return _closed_form(spec, s, plan)
 
 
 # --------------------------------------------------------------------------
@@ -327,13 +318,14 @@ def regularized_limit(spec: SeriesSpec, cfg: EvalConfig | None = None) -> Regula
     (alt-sin/unit -> tan(pi x)/2, alt-cos/unit -> 1/2).
     """
     with workprec(cfg):
-        if xreal(spec.s) != 0:
+        s = xreal(spec.s)
+        if s != 0:
             raise DomainError("regularized_limit requires s = 0")
         if spec.weight == "log2":
             raise CapabilityError(
                 f"no regularized limit for kernel={spec.kernel}, "
                 f"alternating={spec.alternating}, weight=log2")
-        return _closed_form(spec)
+        return _closed_form(spec, s, _plan(spec.kernel, spec.weight, s))
 
 
 # --------------------------------------------------------------------------
@@ -362,13 +354,8 @@ def integer_sin_series(x, s: int, cfg: EvalConfig | None = None) -> RegularizedV
         x = xreal(x)
         if not (0 < x < 1):
             raise DomainError("x must lie strictly inside (0, 1)")
-        if s % 2 == 0:
-            return _parity_limit("sin", x, s)
-        m = (s - 1) // 2
-        coeffs = bernoulli_poly_coeffs(2 * m + 1)
-        val = ((-1) ** (m + 1) * (2 * mp.pi) ** (2 * m + 1)
-               / (2 * mp.factorial(2 * m + 1)) * poly_eval(coeffs, x))
-        return RegularizedValue(+val, "integer_branch", +tolerance(), 0)
+        route = "unit" if s % 2 == 0 else "bernoulli"
+        return _plain_value(_plan("sin", route, s), x)
 
 
 def integer_cos_series(x, s: int, cfg: EvalConfig | None = None) -> RegularizedValue:
@@ -391,7 +378,7 @@ def integer_cos_series(x, s: int, cfg: EvalConfig | None = None) -> RegularizedV
         x = xreal(x)
         if not (0 < x < 1):
             raise DomainError("x must lie strictly inside (0, 1)")
-        return _parity_limit("cos", x, s)
+        return _plain_value(_plan("cos", "unit", s), x)
 
 
 # --------------------------------------------------------------------------
@@ -481,8 +468,8 @@ def evaluate_series(spec: SeriesSpec, cfg: EvalConfig | None = None) -> Regulari
             # with log weights at s > 0 only the alternating series at
             # x = 1/2 has a closed form (a zeta derivative); elsewhere Abel
             # summation is still well-defined
-            if spec.alternating and xreal(spec.x) == mpf(1) / 2:
-                return _closed_form(spec)
+            if spec.alternating and xreal(spec.x) == _HALF:
+                return _closed_form(spec, s, None)
             rv = abel_oracle(spec)
             tol = tolerance()
             if rv.error_estimate > tol:
@@ -491,7 +478,8 @@ def evaluate_series(spec: SeriesSpec, cfg: EvalConfig | None = None) -> Regulari
                     f"exceeds the tolerance {mp.nstr(tol, 3)}",
                     PrecisionLossWarning)
             return rv
-        branch = None if spec.alternating else _integer_branch(spec.kernel, s)
-        if branch is not None:
-            return branch(spec.x, int(s))
-        return closed_form_series(spec)
+        if (spec.alternating
+                or _plan(spec.kernel, "unit", s).method != "integer_branch"):
+            return closed_form_series(spec)
+        branch = integer_sin_series if spec.kernel == "sin" else integer_cos_series
+        return branch(spec.x, int(s))

@@ -101,6 +101,14 @@ def test_no_private_function_takes_cfg():
         == ["precision_digits"]
 
 
+@pytest.mark.parametrize("digits", [30, 35, 39, 40, 41, 50, 100, 200, 300])
+def test_tolerance_keeps_ten_digits_at_least(digits):
+    # 10^-(digits - 30) would be 1 at 30 digits, so the floor is 1e-10
+    cfg = EvalConfig(digits)
+    with workprec(cfg):
+        assert tolerance(cfg) == mpf(10) ** -max(digits - 30, 10)
+
+
 @pytest.mark.parametrize("digits", [50, 100])
 def test_tolerance_depends_only_on_cfg(digits):
     cfg = EvalConfig(digits)

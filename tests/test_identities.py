@@ -370,12 +370,22 @@ def test_second_cos_limit_point_runs_no_em_pass(monkeypatch):
     assert first > 0 and len(calls) == first
 
 
+def test_power_series_identities_pass_at_30_digits():
+    # with a tolerance of 1 the stop rules stopped at 1e-2 and these failed
+    names = ["alt_sin_limit", "cot_limit", "deninger_log_cos",
+             "half_point_value", "kummer_log_sin", "log_cos_limit"]
+    points = [mpf(i) / 100 for i in (1, 30, 50, 70, 99)]
+    reports = run_suite(names, points, EvalConfig(30))
+    assert {r.identity_name for r in reports} == set(names)
+    assert [r for r in reports if not r.passed] == []
+
+
 def test_cache_stats_counts_the_table_reads():
     verify_identity("cos_limit", mpf("0.7"), CFG)
     before = cache_stats()
     verify_identity("cos_limit", mpf("0.3"), CFG)
     after = cache_stats()
-    assert {"kernels._coeff_table", "zeta._rz", "series._prefactor_den",
+    assert {"kernels._coeff_table", "zeta._rz", "series._plan",
             "identities._gamma1_oracle", "config._tolerance"} <= set(after)
     table = "kernels._coeff_table"
     assert after[table].hits > before[table].hits

@@ -9,7 +9,8 @@ from mpmath import mp, mpf
 
 from regsum import (CapabilityError, DEFAULT_CONFIG, DomainError, EvalConfig,
                     PoleError, PrecisionLossWarning, RedirectError, SeriesSpec,
-                    abel_oracle, closed_form_series, evaluate_series,
+                    abel_oracle, cache_stats, closed_form_series,
+                    evaluate_series,
                     gamma_fn, integer_cos_series, integer_sin_series,
                     log_cos_limit_series,
                     regularized_limit, riemann_zeta, workprec)
@@ -469,6 +470,72 @@ def test_tail_table_memo_is_bounded():
     info = kernels._coeff_table.cache_info()
     assert info.maxsize == cap
     assert info.currsize == cap
+
+
+# The plain-series plan: every route's s-only work, once per (kernel,
+# weight, s, precision). Each call is (function, first x, later x), the
+# later x reducing to a point nearer 0, so its tail needs no new term.
+PLAN_CALLS = [
+    (lambda x: closed_form_series(SeriesSpec("sin", x, Fraction(37, 16)),
+                                  CFG), Fraction(7, 16), Fraction(11, 16)),
+    (lambda x: evaluate_series(SeriesSpec("cos", x, Fraction(21, 16)), CFG),
+     Fraction(7, 16), Fraction(5, 16)),
+    (lambda x: closed_form_series(
+        SeriesSpec("cos", x, Fraction(9, 16), alternating=True), CFG),
+     Fraction(1, 16), Fraction(11, 16)),
+    (lambda x: integer_sin_series(x, 2, CFG), Fraction(7, 16),
+     Fraction(13, 16)),
+    (lambda x: evaluate_series(SeriesSpec("sin", x, 4), CFG),
+     Fraction(7, 16), Fraction(1, 4)),
+    (lambda x: integer_sin_series(x, 3, CFG), Fraction(7, 16),
+     Fraction(1, 4)),
+    (lambda x: integer_cos_series(x, 3, CFG), Fraction(7, 16),
+     Fraction(3, 4)),
+    (lambda x: regularized_limit(SeriesSpec("sin", x, 0), CFG),
+     Fraction(7, 16), Fraction(3, 16)),
+    (lambda x: regularized_limit(SeriesSpec("sin", x, 0, weight="log"), CFG),
+     Fraction(7, 16), Fraction(5, 8)),
+]
+
+
+def _bits(rv):
+    return rv.value._mpf_, rv.error_estimate._mpf_, rv.terms_used, rv.method
+
+
+def test_plan_warm_call_misses_no_memo():
+    for call, x1, _ in PLAN_CALLS:
+        call(x1)
+    before = {name: info.misses for name, info in cache_stats().items()}
+    for call, _, x2 in PLAN_CALLS:
+        call(x2)
+    after = {name: info.misses for name, info in cache_stats().items()}
+    assert after == before
+
+
+def test_plan_eviction_keeps_the_bits(monkeypatch):
+    warm = [_bits(call(x)) for call, x, _ in PLAN_CALLS]
+    # a one-entry plan memo rebuilds the plan at every call here
+    monkeypatch.setattr(series, "_plan", memo(cap=1)(series._plan.__wrapped__))
+    assert [_bits(call(x)) for call, x, _ in PLAN_CALLS] == warm
+
+
+def test_plan_memo_is_bounded():
+    cap = CACHE_CAP // 64
+    with workprec(EvalConfig(30)):
+        for i in range(cap + 10):
+            series._plan("cos", "unit", 5 + mpf(2 * i + 1) / (2 * cap + 20))
+    info = series._plan.cache_info()
+    assert info.maxsize == cap
+    assert info.currsize == cap
+
+
+def test_plan_warns_on_every_call():
+    spec = SeriesSpec("sin", mpf("0.3"), mpf("2.0005"))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        for _ in range(2):
+            closed_form_series(spec, CFG)
+    assert [w.category for w in seen] == [PrecisionLossWarning] * 2
 
 
 # ----------------------------- integer branches ---------------------------
