@@ -16,8 +16,7 @@ from .errors import (ArityError, CapabilityError, CapacityError,
 from .gammafn import digamma, gamma_fn, loggamma
 from .identities import (REGISTRY, IdentityReport, polylog_unimodular,
                          run_suite, verify_identity)
-from .kernels import (richardson_extrapolate, sum_entire, sum_oscillatory,
-                      sum_taylor)
+from .kernels import richardson_extrapolate, sum_oscillatory, sum_taylor
 from .series import (RegularizedValue, SeriesSpec, abel_oracle,
                      closed_form_series, evaluate_series,
                      integer_cos_series, integer_sin_series,
@@ -43,7 +42,7 @@ __all__ = [
     "loggamma", "phi_ramanujan", "poly_eval", "polylog_unimodular",
     "regularized_limit", "richardson_extrapolate", "riemann_zeta",
     "run_suite", "stieltjes_gamma1", "stieltjes_gamma1_limit",
-    "stieltjes_integral", "sum_entire", "sum_oscillatory", "sum_taylor",
+    "stieltjes_integral", "sum_oscillatory", "sum_taylor",
     "verify_identity", "workprec", "xreal", "zeta_prime_at_zero",
     "zeta_sderiv_at_negatives",
 ]

@@ -14,8 +14,8 @@ from .errors import CapacityError
 
 # Cost guard: B_n numerators grow super-exponentially and the recurrence is
 # quadratic. Exact B_n is read by zeta._beta (B_512 at most), Euler's
-# formula for zeta(2k <= 512), integer_sin_series at odd s and the
-# bernoulli_odd and adamchik_reflection identities.
+# formula for zeta(2k <= 512) and the bernoulli_odd and adamchik_reflection
+# identities.
 BERNOULLI_INDEX_CAP = 512
 
 _table: list[Fraction] = [Fraction(1)]

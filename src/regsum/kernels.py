@@ -1,18 +1,16 @@
 """Generic summation utilities.
 
 The one power-series kernel, behind every zeta power series in the package
-and sum_taylor, and a generic summer for rapidly decaying mpf terms, under
-one stop rule (three consecutive terms below tolerance/100); Richardson
-extrapolation; and a series transform for slowly convergent oscillatory
-sums sum_n g(n) z^n with |z| <= 1, z != 1."""
+and sum_taylor, with its stop rule (three consecutive terms below
+tolerance/100); Richardson extrapolation; and a series transform for slowly
+convergent oscillatory sums sum_n g(n) z^n with |z| <= 1, z != 1."""
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fzero, from_man_exp, mpf_abs, mpf_add, mpf_lt,
-                          to_fixed)
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .config import CACHE_CAP, EvalConfig, memo, tolerance, workprec, xreal
 from .errors import ArityError, ConvergenceError, DomainError
@@ -22,27 +20,6 @@ MAX_TERMS = 10**6
 
 # Bits the fixed-point power series carry beyond mp.prec.
 GUARD_BITS = 16
-
-
-def sum_entire(term: Callable[[int], mpf], cfg: EvalConfig | None = None):
-    """Sum the real terms term(0) + term(1) + ... of a rapidly decaying tail,
-    calling term with n = 0, 1, 2, ... in order, until three consecutive
-    terms fall below tolerance/100 in magnitude (parity-masked zero terms
-    from sin/cos must not halt summation early). Returns (sum, terms_used)."""
-    with workprec(cfg):
-        prec, rnd = mp._prec_rounding
-        stop = (tolerance() / 100)._mpf_
-        acc = fzero
-        small = n = 0
-        while small < 3:
-            if n >= MAX_TERMS:
-                raise ConvergenceError(
-                    f"series did not decay within {MAX_TERMS} terms")
-            t = mp.convert(term(n))._mpf_
-            acc = mpf_add(acc, t, prec, rnd)
-            small = small + 1 if mpf_lt(mpf_abs(t, prec, rnd), stop) else 0
-            n += 1
-        return mp.make_mpf(acc), n
 
 
 @memo(cap=CACHE_CAP // 64)

@@ -5,11 +5,11 @@ The alternating factor is a phase, (-1)^{n+1} trig(2 n pi x) =
 -trig(2 n pi (x + 1/2)), so an alternating series is the plain one shifted
 by half a period and every route below evaluates a plain series. Closed
 forms evaluate the analytic continuation in the exponent s; the s -> 0
-limits return the regularized values of the divergent cases; exact integer
-exponents go through the Bernoulli-Fourier polynomials or, where the
-prefactor is singular, the closed form's L'Hopital limit. The
-Abel oracle (Abel summation with Richardson extrapolation) is independent of
-every closed form and is the route for log weights at s > 0.
+limits return the regularized values of the divergent cases; where the
+prefactor is singular at an integer exponent (sin at even s, cos at odd s),
+its L'Hopital limit takes the closed form's place. The Abel oracle (Abel
+summation with Richardson extrapolation) is independent of every closed
+form and is the route for log weights at s > 0.
 
 Every zeta power series here is kernels._power_series at a mirrored or
 shifted x <= 1/2, its coefficients kept per (source, s, precision) as
@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
 
-from .bernoulli import bernoulli_poly_coeffs, harmonic_number, poly_eval
+from .bernoulli import harmonic_number
 from .config import CACHE_CAP, EvalConfig, memo, tolerance, workprec, xreal
 from .errors import (CapabilityError, ConvergenceError, DomainError,
                      PoleError, PrecisionLossWarning, RedirectError)
@@ -68,10 +68,13 @@ class SeriesSpec:
 
 @dataclass
 class RegularizedValue:
-    """A computed series value with method tag and effort diagnostics."""
+    """A computed series value with method tag and effort diagnostics:
+    terms_used is the number of terms the value's own series loop ran (its
+    zeta power series, or the Abel oracle's oscillatory sums over all
+    radii), 0 where the value sums no series."""
 
     value: mpf
-    method: str  # closed_form | abel | integer_branch
+    method: str  # closed_form | abel | integer_branch (a parity limit)
     error_estimate: mpf
     terms_used: int = 0
 
@@ -180,29 +183,21 @@ def _mirrored(kernel: str, head, coeff, s: mpf, err: mpf):
 @memo(cap=CACHE_CAP // 64)
 def _plan(kernel: str, weight: str, s) -> _Plan:
     """The plain series' one closed-form family at s >= 0, m = ceil(s/2):
-    - weight "bernoulli", integer_sin_series' route at odd s = 2m - 1:
-      (-1)^m (2 pi)^s / (2 s!) * B_s(x);
     - s = 0: the regularized limit (unit and log weights);
     - a parity-singular integer (sin at even s, cos at odd s; sin is
       regular at s = 0, where the pole of Gamma(s) cancels sin(pi s/2)):
       the L'Hopital limit (-1)^m w^{s-1}/(s-1)! [log w - H_{s-1}] + tail;
-    - else pi w^{s-1} / (2 Gamma(s) trig(pi s/2)) + tail, widening the
+    - else pi w^{s-1} / (2 Gamma(s) trig(pi s/2)) + tail (for sine at odd
+      s the tail ends at zeta(0), as zeta(-2n) = 0), widening the
       estimate and warning within 1e-3 of a parity-singular s; sinpi and
       cospi keep trig's relative accuracy next to those integers.
     The estimates are tolerance(): inside workprec the precision fixes
     the config."""
     s, tol = xreal(s), tolerance()
-    if weight == "bernoulli":
-        m = (int(s) - 1) // 2
-        coeffs = [mp.convert(c) for c in bernoulli_poly_coeffs(2 * m + 1)]
-        scale = ((-1) ** (m + 1) * (2 * mp.pi) ** (2 * m + 1)
-                 / (2 * mp.factorial(2 * m + 1)))
-        return _Plan(lambda x, t=+tol: (scale * poly_eval(coeffs, x), 0, t),
-                     "integer_branch")
     if s == 0 and kernel == "cos":
         if weight == "unit":
             # zeta(-2n) = 0 for n >= 1; only zeta(0) = -1/2 survives.
-            return _Plan(lambda x, v=mpf(-1) / 2: (v, 1, +tol))
+            return _Plan(lambda x, v=mpf(-1) / 2: (v, 0, +tol))
         g, lg = euler_gamma(), log_two_pi()
 
         def value(x):
@@ -333,13 +328,13 @@ def regularized_limit(spec: SeriesSpec, cfg: EvalConfig | None = None) -> Regula
 # --------------------------------------------------------------------------
 
 def integer_sin_series(x, s: int, cfg: EvalConfig | None = None) -> RegularizedValue:
-    """sum_n sin(2 n pi x)/n^s at integer s >= 1.
+    """sum_n sin(2 n pi x)/n^s at integer s >= 1, by evaluate_series' plan.
 
-    Odd s = 2m+1: Bernoulli-Fourier closed form
-        (-1)^{m+1} (2 pi)^{2m+1} / (2 (2m+1)!) * B_{2m+1}(x).
-    Even s = 2m: the L'Hopital limit of the generic closed form,
+    Odd s = 2m+1: the generic closed form, (-1)^{m+1} (2 pi)^{2m+1} /
+    (2 (2m+1)!) * B_{2m+1}(x); its zeta tail ends at zeta(0), as
+    zeta(-2n) = 0. Even s = 2m: its L'Hopital limit,
         (-1)^m w^{2m-1}/(2m-1)! * [log w - H_{2m-1}]
-        + its sine zeta tail less the zeta(1) term  (w = 2 pi x);
+        + its sine zeta tail less the zeta(1) term  (w = 2 pi x).
     terms_used counts the whole tail.
     """
     if s != int(s):
@@ -354,8 +349,7 @@ def integer_sin_series(x, s: int, cfg: EvalConfig | None = None) -> RegularizedV
         x = xreal(x)
         if not (0 < x < 1):
             raise DomainError("x must lie strictly inside (0, 1)")
-        route = "unit" if s % 2 == 0 else "bernoulli"
-        return _plain_value(_plan("sin", route, s), x)
+        return _plain_value(_plan("sin", "unit", s), x)
 
 
 def integer_cos_series(x, s: int, cfg: EvalConfig | None = None) -> RegularizedValue:

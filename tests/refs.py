@@ -16,7 +16,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from regsum import eta
-from regsum.config import working_dps
+from regsum.config import tolerance, working_dps
 
 # Published decimal expansions (90 digits).  Kept as strings: mpf parsing
 # happens at the caller's working precision, never at import time.
@@ -88,6 +88,20 @@ def romberg(f, a, b, levels: int = 11) -> mpf:
 def central_diff(f, x, h):
     """First derivative by the centered two-point stencil."""
     return (f(x + h) - f(x - h)) / (2 * h)
+
+
+def termwise_sum(term):
+    """term(0) + term(1) + ... in mpf arithmetic at the working precision,
+    until three terms in a row fall below tolerance()/100 in magnitude (the
+    power-series kernel's stop rule). Returns (sum, terms_used)."""
+    stop = tolerance() / 100
+    acc, small, n = mpf(0), 0, 0
+    while small < 3:
+        t = term(n)
+        acc += t
+        small = small + 1 if abs(t) < stop else 0
+        n += 1
+    return acc, n
 
 
 def seeded_uniforms(seed: int, n: int, lo: float, hi: float) -> list[mpf]:

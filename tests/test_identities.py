@@ -16,7 +16,7 @@ import regsum.kernels as kernels_mod
 import regsum.series as series_mod
 from regsum.config import memo, tolerance
 
-from refs import catalan, polylog_log_weight
+from refs import catalan, polylog_log_weight, termwise_sum
 
 CFG = DEFAULT_CONFIG
 
@@ -201,12 +201,12 @@ def test_entry17v_two_rhs_compositions_agree():
             routeA = (mp.pi * c * mp.cospi(x) / mp.sinpi(x)
                       + 2 * mp.pi * sl.value)
             w = 2 * mp.pi * x
-            from regsum import zeta_sderiv_at_negatives, sum_entire
+            from regsum import zeta_sderiv_at_negatives
             def term(n):
                 return ((-1) ** (n + 1)
                         * zeta_sderiv_at_negatives(2 * n + 1, CFG)
                         * w ** (2 * n + 1) / mp.factorial(2 * n + 1))
-            tail, _ = sum_entire(term, CFG)
+            tail, _ = termwise_sum(term)
             routeB = (-(g + mp.log(w)) / x
                       + mp.pi * c * mp.cospi(x) / mp.sinpi(x)
                       + 2 * mp.pi * tail)

@@ -1,5 +1,5 @@
-"""The rapid-tail summer, the fixed-point power-series kernel behind
-sum_taylor, Richardson extrapolation, the oscillatory transform."""
+"""The fixed-point power-series kernel behind sum_taylor, Richardson
+extrapolation, the oscillatory transform."""
 
 from fractions import Fraction
 
@@ -10,14 +10,13 @@ from mpmath import mp, mpf
 from regsum import (ArityError, ConvergenceError, DomainError,
                     DEFAULT_CONFIG, EvalConfig, SeriesSpec,
                     closed_form_series, kernels, regularized_limit, series,
-                    richardson_extrapolate, riemann_zeta, sum_entire,
-                    sum_oscillatory, sum_taylor, workprec)
+                    richardson_extrapolate, riemann_zeta, sum_oscillatory,
+                    sum_taylor, workprec)
 from regsum.config import tolerance, xreal
 
-from refs import catalan, polylog_log_weight
+from refs import catalan, polylog_log_weight, termwise_sum
 
 CFG = DEFAULT_CONFIG
-TOL = mpf("1e-20")
 
 
 def test_domain_errors():
@@ -26,32 +25,7 @@ def test_domain_errors():
         richardson_extrapolate([(mpf(1), mpf(1)), (mpf(0), mpf(1))], 1)
 
 
-def test_sum_entire_exponential():
-    with workprec(CFG):
-        val, n = sum_entire(lambda k: 1 / mp.factorial(k), CFG)
-        assert abs(val - mp.e) < TOL
-        assert n < 100
-
-
-def test_sum_entire_zero_terms():
-    val, n = sum_entire(lambda k: mpf(0), CFG)
-    assert val == 0
-    assert n == 3
-
-
-def test_sum_entire_zeta_tail():
-    # sum (-1)^n zeta(-2n-1) (pi/2)^{2n+1}/(2n+1)!  ==  cot(pi/4)/2 - 2/pi
-    with workprec(CFG):
-        w = 2 * mp.pi * mpf("0.25")
-
-        def term(n):
-            return ((-1) ** n * riemann_zeta(-2 * n - 1, CFG)
-                    * w ** (2 * n + 1) / mp.factorial(2 * n + 1))
-        val, _ = sum_entire(term, CFG)
-        assert abs(val - (mpf(1) / 2 - 2 / mp.pi)) < TOL
-
-
-def test_sum_entire_terms_of_the_closed_forms():
+def test_power_series_terms_of_the_closed_forms():
     # the stop rule as the closed forms' zeta tails see it
     spec = SeriesSpec("sin", Fraction(5, 16), Fraction(27, 8))
     assert closed_form_series(spec, EvalConfig(50)).terms_used == 22
@@ -79,7 +53,7 @@ def test_sum_taylor_zeta_tail():
         def term(n):
             return ((-1) ** n * riemann_zeta(-2 * n - 1)
                     * mp.power(w, 2 * n + 1) / mp.factorial(2 * n + 1))
-        ref, n_ref = sum_entire(term)
+        ref, n_ref = termwise_sum(term)
         val, n = sum_taylor(lambda n: riemann_zeta(-2 * n - 1), w, 1)
         assert abs(val - ref) < tolerance(CFG)
         assert n == n_ref
@@ -145,12 +119,6 @@ def test_sum_taylor_leaves_the_table_memo_alone():
         assert after.currsize == info.currsize
         assert (after.hits, after.misses) == (info.hits + 1, info.misses)
         assert kernels._coeff_table(*key) is table and len(table) == size
-
-
-def test_sum_entire_nondecay_raises(monkeypatch):
-    monkeypatch.setattr(kernels, "MAX_TERMS", 100)
-    with pytest.raises(ConvergenceError):
-        sum_entire(lambda k: mpf(1))
 
 
 def test_sum_taylor_nondecay_raises(monkeypatch):

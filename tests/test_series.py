@@ -544,7 +544,62 @@ def test_integer_sin_sawtooth():
     with workprec(CFG):
         rv = integer_sin_series(mpf("0.25"), 1, CFG)
         assert abs(rv.value - mp.pi / 4) < mpf("1e-20")
-        assert rv.method == "integer_branch"
+        assert rv.method == "closed_form"
+
+
+@pytest.mark.parametrize("digits", [50, 100])
+def test_odd_sine_is_the_closed_form(digits):
+    # odd s = 2m+1 has one route: integer_sin_series reads the plan of
+    # closed_form_series, whose tail ends at zeta(0), so it runs m + 4
+    # terms at most
+    cfg = EvalConfig(digits)
+    for s in (1, 3, 5, 21):
+        for x in (Fraction(1, 20), Fraction(7, 16), Fraction(7, 10)):
+            rv = integer_sin_series(x, s, cfg)
+            assert _bits(rv) == _bits(
+                closed_form_series(SeriesSpec("sin", x, s), cfg)), (s, x)
+            assert 0 < rv.terms_used <= (s - 1) // 2 + 4, (s, x)
+
+
+def test_odd_sine_past_the_bernoulli_cap():
+    # B_515 is past BERNOULLI_INDEX_CAP; the closed form needs no B_n
+    with workprec(CFG):
+        x = mpf("0.3")
+        rv = integer_sin_series(x, 515, CFG)
+        with mp.extradps(20):
+            ref = mp.clsin(515, 2 * mp.pi * x)
+        assert abs(rv.value - ref) <= tolerance(CFG)
+
+
+# One call per plan route, and whether its value sums a series.
+TERMS_CALLS = [
+    pytest.param(lambda x: regularized_limit(SeriesSpec("cos", x, 0), CFG),
+                 False, id="cos-unit-limit"),
+    pytest.param(lambda x: regularized_limit(
+        SeriesSpec("cos", x, 0, weight="log"), CFG), False, id="cos-log-limit"),
+    pytest.param(lambda x: regularized_limit(SeriesSpec("sin", x, 0), CFG),
+                 True, id="sin-unit-limit"),
+    pytest.param(lambda x: regularized_limit(
+        SeriesSpec("sin", x, 0, weight="log"), CFG), True, id="sin-log-limit"),
+    pytest.param(lambda x: integer_sin_series(x, 2, CFG), True,
+                 id="sin-parity-limit"),
+    pytest.param(lambda x: integer_cos_series(x, 3, CFG), True,
+                 id="cos-parity-limit"),
+    pytest.param(lambda x: integer_sin_series(x, 3, CFG), True,
+                 id="sin-odd-s"),
+    pytest.param(lambda x: closed_form_series(
+        SeriesSpec("cos", x, Fraction(37, 16)), CFG), True, id="closed-form"),
+    pytest.param(lambda x: closed_form_series(
+        SeriesSpec("cos", Fraction(1, 2), Fraction(37, 16), alternating=True),
+        CFG), False, id="alt-half-point"),
+    pytest.param(lambda x: evaluate_series(
+        SeriesSpec("sin", x, 1, weight="log"), CFG), True, id="abel"),
+]
+
+
+@pytest.mark.parametrize("call, sums", TERMS_CALLS)
+def test_terms_used_counts_the_summed_series(call, sums):
+    assert (call(Fraction(7, 16)).terms_used > 0) == sums
 
 
 def test_integer_sin_cubic():
